@@ -15,7 +15,9 @@
 use criterion::{black_box, Criterion};
 use irnuma_graph::{build_module_graph, Vocab};
 use irnuma_ir::extract::extract_region;
-use irnuma_nn::{set_dispatch, GnnClassifier, GnnConfig, GraphData, TrainEngine, TrainParams};
+use irnuma_nn::{
+    set_dispatch, GnnClassifier, GnnConfig, GraphData, MemorySource, TrainEngine, TrainParams,
+};
 use irnuma_workloads::all_regions;
 
 fn region_graphs(vocab: &Vocab, count: usize) -> Vec<GraphData> {
@@ -32,16 +34,17 @@ fn region_graphs(vocab: &Vocab, count: usize) -> Vec<GraphData> {
 
 /// One full training epoch (shuffle, minibatch gradients, Adam steps)
 /// through the chosen engine, on a fresh clone of the untrained classifier
-/// so every iteration optimizes from the same starting weights.
+/// so every iteration optimizes from the same starting weights. The source
+/// is built once by the caller and hands its graphs back after each epoch,
+/// so no graph copy is timed.
 fn one_epoch(
     clf: &GnnClassifier,
-    graphs: &[GraphData],
-    labels: &[usize],
+    source: &mut MemorySource,
     p: TrainParams,
     engine: TrainEngine,
 ) -> f64 {
     let mut clf = clf.clone();
-    let hist = clf.fit_with_engine(graphs, labels, p, None, engine).expect("no checkpoint I/O");
+    let hist = clf.fit_with_engine(source, p, None, engine).expect("valid in-memory training set");
     hist[0]
 }
 
@@ -52,6 +55,7 @@ fn main() {
     let vocab = Vocab::full();
     let graphs = region_graphs(&vocab, 8);
     let labels: Vec<usize> = (0..graphs.len()).map(|i| i % 13).collect();
+    let mut source = MemorySource::from_shards(vec![(graphs, labels)]);
     let clf = GnnClassifier::new(GnnConfig {
         vocab_size: vocab.len(),
         hidden,
@@ -67,10 +71,10 @@ fn main() {
         let mut grp = c.benchmark_group("training");
         grp.sample_size(samples);
         grp.bench_function("tape_epoch_8_graphs", |b| {
-            b.iter(|| one_epoch(&clf, black_box(&graphs), &labels, p, TrainEngine::TapeReference))
+            b.iter(|| one_epoch(&clf, black_box(&mut source), p, TrainEngine::TapeReference))
         });
         grp.bench_function("fused_epoch_8_graphs", |b| {
-            b.iter(|| one_epoch(&clf, black_box(&graphs), &labels, p, TrainEngine::Fused))
+            b.iter(|| one_epoch(&clf, black_box(&mut source), p, TrainEngine::Fused))
         });
         grp.finish();
     }
@@ -90,11 +94,11 @@ fn main() {
     let mut ratios = Vec::with_capacity(pairs);
     for i in 0..=pairs {
         let t0 = std::time::Instant::now();
-        black_box(one_epoch(&clf, black_box(&graphs), &labels, p, TrainEngine::Fused));
+        black_box(one_epoch(&clf, black_box(&mut source), p, TrainEngine::Fused));
         let plain = t0.elapsed().as_secs_f64();
         irnuma_obs::set_sink(sink.clone());
         let t1 = std::time::Instant::now();
-        black_box(one_epoch(&clf, black_box(&graphs), &labels, p, TrainEngine::Fused));
+        black_box(one_epoch(&clf, black_box(&mut source), p, TrainEngine::Fused));
         let traced = t1.elapsed().as_secs_f64();
         irnuma_obs::clear_sink();
         if i > 0 {
@@ -114,11 +118,11 @@ fn main() {
     for i in 0..=pairs {
         set_dispatch(true);
         let t0 = std::time::Instant::now();
-        black_box(one_epoch(&clf, black_box(&graphs), &labels, p, TrainEngine::Fused));
+        black_box(one_epoch(&clf, black_box(&mut source), p, TrainEngine::Fused));
         let specialized = t0.elapsed().as_secs_f64();
         set_dispatch(false);
         let t1 = std::time::Instant::now();
-        black_box(one_epoch(&clf, black_box(&graphs), &labels, p, TrainEngine::Fused));
+        black_box(one_epoch(&clf, black_box(&mut source), p, TrainEngine::Fused));
         let generic = t1.elapsed().as_secs_f64();
         set_dispatch(true);
         if i > 0 {

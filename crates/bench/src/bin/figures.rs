@@ -4,7 +4,7 @@
 //! figures -- all                 # every figure, CSVs under results/
 //! figures -- fig3 fig9           # a subset
 //! figures -- summary             # headline numbers only
-//! figures -- --smoke all         # tiny settings (CI)
+//! figures -- --smoke all         # tiny settings (CI), under results/smoke/
 //! figures -- --flags 200 all     # override the number of flag sequences
 //! ```
 
@@ -85,7 +85,9 @@ fn config_for(args: &Args, arch: MicroArch) -> PipelineConfig {
 fn main() {
     let _obs = irnuma_obs::init(irnuma_obs::Level::Info);
     let args = parse_args();
-    let out_dir = Path::new("results");
+    // Smoke runs land beside, never over, the committed standard-scale
+    // results; CI diffs `results/smoke/` to catch drift.
+    let out_dir = Path::new(if args.smoke { "results/smoke" } else { "results" });
     let want = |f: &str| {
         let extension = matches!(f, "ablations" | "input-sensitivity" | "cost-comparison");
         args.figs.contains(f)

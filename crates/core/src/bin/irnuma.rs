@@ -445,14 +445,16 @@ fn train(rest: &[String]) -> Result<(), String> {
     // Flatten every region's training-sequence graphs into one labelled set,
     // exactly as `StaticModel::train` does over a fold.
     let seq_ids = training_sequence_ids(ds.sequences.len(), 4.min(ds.sequences.len()));
-    let mut graphs = Vec::new();
+    let mut refs = Vec::new();
     let mut labels = Vec::new();
     for (r, reg) in ds.regions.iter().enumerate() {
         for &s in &seq_ids {
-            graphs.push(reg.graphs[s].clone());
+            refs.push(&reg.graphs[s]);
             labels.push(ds.labels[r]);
         }
     }
+    let graphs = refs.iter().map(|&g| g.clone()).collect();
+    let mut source = MemorySource::from_shards(vec![(graphs, labels.clone())]);
     let mut clf = GnnClassifier::new(GnnConfig {
         vocab_size: Vocab::full().len(),
         hidden,
@@ -463,15 +465,14 @@ fn train(rest: &[String]) -> Result<(), String> {
     });
     let p = TrainParams { epochs, batch_size: 16, lr: 3e-3, seed };
     let t0 = std::time::Instant::now();
-    let history =
-        clf.fit_checkpointed(&graphs, &labels, p, ckpt.as_ref()).map_err(|e| e.to_string())?;
+    let history = clf.fit_streaming(&mut source, p, ckpt.as_ref()).map_err(|e| e.to_string())?;
     let elapsed = t0.elapsed().as_secs_f64();
-    let acc = clf.accuracy(&graphs, &labels);
+    let acc = clf.accuracy(&refs, &labels);
     println!(
         "trained {} epochs on {} graphs: loss {:.4} → {:.4}, train accuracy {} \
          ({:.2} epochs/sec, fused engine)",
         history.len(),
-        graphs.len(),
+        refs.len(),
         history.first().copied().unwrap_or(f64::NAN),
         history.last().copied().unwrap_or(f64::NAN),
         acc.map_or_else(|| "n/a".to_string(), |a| format!("{a:.3}")),

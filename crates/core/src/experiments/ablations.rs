@@ -14,7 +14,7 @@ use crate::experiments::{f3, FigureReport};
 use crate::models::static_gnn::{training_sequence_ids, StaticParams};
 use irnuma_graph::Vocab;
 use irnuma_ml::kfold;
-use irnuma_nn::{GnnClassifier, GnnConfig, GraphData, TrainParams};
+use irnuma_nn::{GnnClassifier, GnnConfig, GraphData, MemorySource, TrainParams};
 use serde::{Deserialize, Serialize};
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -83,11 +83,12 @@ fn run_variant(
             layer_norm: true,
             seed: p.seed,
         });
-        clf.fit(
-            &graphs,
-            &labels,
+        clf.fit_streaming(
+            &mut MemorySource::from_shards(vec![(graphs, labels)]),
             TrainParams { epochs: p.epochs, batch_size: p.batch, lr: p.lr, seed: p.seed },
-        );
+            None,
+        )
+        .expect("labels index the dataset's chosen configs and the training set is non-empty");
         for &r in validation {
             let g = transform(&ds.regions[r].graphs[0]);
             let pred = clf.predict(&g);

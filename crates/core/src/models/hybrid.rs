@@ -34,6 +34,7 @@ impl Default for HybridParams {
 /// The router: static-is-enough vs needs-profiling.
 pub struct HybridModel {
     tree: DecisionTree,
+    scale: FeatureScale,
     pub selected_dims: Vec<usize>,
     pub params: HybridParams,
 }
@@ -77,10 +78,11 @@ pub fn inner_cv_needs_labels(
             .map(|(_, &r)| r)
             .collect();
         let sub_model = StaticModel::train(ds, &sub_train, static_params);
+        let scale = FeatureScale::fit(ds, &sub_model, &sub_train);
         for &i in &holdout {
             let r = train_idx[i];
             needs[i] = static_needs_profiling(ds, &sub_model, r, threshold) as usize;
-            feats[i] = sub_model.router_features(ds, r);
+            feats[i] = scale.apply(sub_model.router_features(ds, r));
         }
     }
     (feats, needs)
@@ -101,9 +103,8 @@ impl HybridModel {
             regions = train_idx.len(),
             inner_folds = p.inner_folds
         );
-        let _ = sm; // features come from the inner models, see below
-                    // Inner sub-models use two-thirds of the epochs: enough fidelity
-                    // for honest labels at 40% less cost.
+        // Inner sub-models use two-thirds of the epochs: enough fidelity for
+        // honest labels at 40% less cost.
         let inner = crate::models::static_gnn::StaticParams {
             epochs: (static_params.epochs * 2 / 3).max(3),
             ..static_params
@@ -155,13 +156,49 @@ impl HybridModel {
         let xs: Vec<Vec<f32>> =
             embeddings.iter().map(|e| selected_dims.iter().map(|&d| e[d]).collect()).collect();
         let tree = DecisionTree::fit(&xs, &y, tree_params);
-        HybridModel { tree, selected_dims, params: p }
+        let scale = FeatureScale::fit(ds, sm, train_idx);
+        HybridModel { tree, scale, selected_dims, params: p }
     }
 
     /// Should this region be profiled (routed to the dynamic model)?
     pub fn route_to_dynamic(&self, ds: &Dataset, sm: &StaticModel, region: usize) -> bool {
-        let e = sm.router_features(ds, region);
+        let e = self.scale.apply(sm.router_features(ds, region));
         let x: Vec<f32> = self.selected_dims.iter().map(|&d| e[d]).collect();
         self.tree.predict(&x) == 1
+    }
+}
+
+/// Per-model standardization of router features. Every static model (each
+/// inner-CV sub-model, and the fold's final model the router is deployed
+/// on) has its own embedding scale — the final model trains longer on more
+/// regions — so raw thresholds learned on sub-model features do not
+/// transfer. Each feature is z-scored against the model's own training
+/// regions before the router sees it.
+struct FeatureScale {
+    mean: Vec<f32>,
+    inv_std: Vec<f32>,
+}
+
+impl FeatureScale {
+    fn fit(ds: &Dataset, sm: &StaticModel, regions: &[usize]) -> FeatureScale {
+        let feats: Vec<Vec<f32>> = regions.iter().map(|&r| sm.router_features(ds, r)).collect();
+        let n = feats.len().max(1) as f64;
+        let dim = feats.first().map_or(0, Vec::len);
+        let mut mean = vec![0.0f32; dim];
+        let mut inv_std = vec![0.0f32; dim];
+        for d in 0..dim {
+            let m = feats.iter().map(|f| f[d] as f64).sum::<f64>() / n;
+            let var = feats.iter().map(|f| (f[d] as f64 - m).powi(2)).sum::<f64>() / n;
+            mean[d] = m as f32;
+            inv_std[d] = if var > 1e-12 { (1.0 / var.sqrt()) as f32 } else { 0.0 };
+        }
+        FeatureScale { mean, inv_std }
+    }
+
+    fn apply(&self, mut x: Vec<f32>) -> Vec<f32> {
+        for ((v, m), s) in x.iter_mut().zip(&self.mean).zip(&self.inv_std) {
+            *v = (*v - m) * s;
+        }
+        x
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::dataset::Dataset;
 use irnuma_graph::Vocab;
-use irnuma_nn::{GnnClassifier, GnnConfig, GraphData, TrainParams};
+use irnuma_nn::{GnnClassifier, GnnConfig, GraphData, MemorySource, TrainParams};
 use serde::{Deserialize, Serialize};
 
 /// Static-model hyper-parameters.
@@ -73,11 +73,12 @@ impl StaticModel {
             seed: p.seed,
         };
         let mut clf = GnnClassifier::new(cfg);
-        clf.fit(
-            &graphs,
-            &labels,
+        clf.fit_streaming(
+            &mut MemorySource::from_shards(vec![(graphs, labels)]),
             TrainParams { epochs: p.epochs, batch_size: p.batch, lr: p.lr, seed: p.seed ^ 0x9e37 },
-        );
+            None,
+        )
+        .expect("labels index the dataset's chosen configs and the training set is non-empty");
 
         // Step E (explored): the sequence with the best average predicted
         // speedup across the training regions. One batched inference pass
@@ -85,7 +86,7 @@ impl StaticModel {
         let graph_refs: Vec<&GraphData> = (0..ds.sequences.len())
             .flat_map(|s| train_idx.iter().map(move |&r| &ds.regions[r].graphs[s]))
             .collect();
-        let outputs = clf.model.infer_batch_refs(&graph_refs);
+        let outputs = clf.model.infer_batch(&graph_refs);
         let explored_seq = (0..ds.sequences.len())
             .map(|s| {
                 let base = s * train_idx.len();

@@ -221,11 +221,6 @@ impl GradBuffer {
             *v *= alpha;
         }
     }
-
-    /// Sum of squared entries (for gradient-norm telemetry).
-    pub fn squared_norm(&self) -> f64 {
-        self.data.iter().map(|&g| g as f64 * g as f64).sum()
-    }
 }
 
 impl GnnModel {

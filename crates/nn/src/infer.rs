@@ -28,6 +28,7 @@ use crate::dispatch::{self, plan_matmul, ModelPlan, RelView};
 use crate::graphdata::GraphData;
 use crate::model::GnnModel;
 use rayon::prelude::*;
+use std::borrow::Borrow;
 use std::cell::RefCell;
 
 /// Everything one forward pass yields.
@@ -265,7 +266,20 @@ impl GnnModel {
     /// Batched inference: graphs fan out across threads, each thread reusing
     /// its own scratch workspace. Weights are prepacked once per call
     /// ([`GnnModel::plan`]) and shared read-only by every worker. Output
-    /// order matches input order.
+    /// order matches input order. Takes owned graphs or scattered
+    /// references (e.g. one graph per (region, sequence) pair) alike.
+    pub fn infer_batch<G: Borrow<GraphData> + Sync>(&self, graphs: &[G]) -> Vec<InferOutput> {
+        self.infer_batch_planned(&self.plan(), graphs)
+    }
+
+    /// [`infer_batch`](GnnModel::infer_batch) through a prebuilt
+    /// (typically cached and `Arc`-shared) [`ModelPlan`] — the serving
+    /// path, where one immutable plan per model generation is shared by
+    /// every connection and rebuilding it per micro-batch would dominate
+    /// small batches. `plan` must have been built from this model's current
+    /// parameters; results are bit-identical to
+    /// [`infer_batch`](GnnModel::infer_batch).
+    ///
     /// Per-graph *stats* telemetry (the per-graph latency-histogram record)
     /// is hoisted out of the hot loop: in stats-only mode workers run the
     /// bare forward pass, and the batch records one `infer.batch_ns` sample
@@ -273,64 +287,25 @@ impl GnnModel {
     /// back in: with a trace sink installed, each worker opens an
     /// `infer.graph` span under the batch (`span_fanout!`), so `irnuma
     /// trace analyze` sees the fan-out; without one the macro is inert.
-    pub fn infer_batch(&self, graphs: &[GraphData]) -> Vec<InferOutput> {
-        let span = irnuma_obs::span!("infer.batch", graphs = graphs.len());
-        let ctx = span.ctx();
-        let plan = self.plan();
-        let out: Vec<InferOutput> = graphs
-            .par_iter()
-            .map(|g| {
-                let _g = irnuma_obs::span_fanout!(ctx, "infer.graph");
-                self.infer_planned_threadlocal(&plan, g)
-            })
-            .collect();
-        self.record_batch(&span, graphs.len());
-        out
-    }
-
-    /// [`infer_batch`](GnnModel::infer_batch) over scattered graph
-    /// references (e.g. one graph per (region, sequence) pair).
-    pub fn infer_batch_refs(&self, graphs: &[&GraphData]) -> Vec<InferOutput> {
-        let span = irnuma_obs::span!("infer.batch", graphs = graphs.len());
-        let ctx = span.ctx();
-        let plan = self.plan();
-        let out: Vec<InferOutput> = graphs
-            .par_iter()
-            .map(|g| {
-                let _g = irnuma_obs::span_fanout!(ctx, "infer.graph");
-                self.infer_planned_threadlocal(&plan, g)
-            })
-            .collect();
-        self.record_batch(&span, graphs.len());
-        out
-    }
-
-    /// [`infer_batch_refs`](GnnModel::infer_batch_refs) through a prebuilt
-    /// (typically cached and `Arc`-shared) [`ModelPlan`] — the serving
-    /// path, where one immutable plan per model generation is shared by
-    /// every connection and rebuilding it per micro-batch would dominate
-    /// small batches. `plan` must have been built from this model's current
-    /// parameters; results are bit-identical to
-    /// [`infer_batch`](GnnModel::infer_batch).
-    pub fn infer_batch_planned(&self, plan: &ModelPlan, graphs: &[&GraphData]) -> Vec<InferOutput> {
+    pub fn infer_batch_planned<G: Borrow<GraphData> + Sync>(
+        &self,
+        plan: &ModelPlan,
+        graphs: &[G],
+    ) -> Vec<InferOutput> {
         let span = irnuma_obs::span!("infer.batch", graphs = graphs.len());
         let ctx = span.ctx();
         let out: Vec<InferOutput> = graphs
             .par_iter()
             .map(|g| {
                 let _g = irnuma_obs::span_fanout!(ctx, "infer.graph");
-                self.infer_planned_threadlocal(plan, g)
+                self.infer_planned_threadlocal(plan, g.borrow())
             })
             .collect();
-        self.record_batch(&span, graphs.len());
-        out
-    }
-
-    fn record_batch(&self, span: &irnuma_obs::SpanGuard, graphs: usize) {
         if irnuma_obs::telemetry_enabled() {
             irnuma_obs::histogram!("infer.batch_ns").record_duration(span.elapsed());
-            irnuma_obs::counter!("infer.graphs").inc(graphs as u64);
+            irnuma_obs::counter!("infer.graphs").inc(graphs.len() as u64);
         }
+        out
     }
 
     fn infer_planned_threadlocal(&self, plan: &ModelPlan, g: &GraphData) -> InferOutput {
@@ -407,9 +382,10 @@ mod tests {
             assert_eq!(out.pooled, serial.pooled);
         }
         let refs: Vec<&GraphData> = graphs.iter().collect();
-        let by_ref = m.infer_batch_refs(&refs);
+        let by_ref = m.infer_batch(&refs);
         for (a, b) in batch.iter().zip(&by_ref) {
             assert_eq!(a.logits, b.logits);
+            assert_eq!(a.pooled, b.pooled);
         }
     }
 
@@ -455,7 +431,7 @@ mod tests {
         let refs: Vec<&GraphData> = graphs.iter().collect();
         let plan = crate::dispatch::shared_plan(&m);
         let planned = m.infer_batch_planned(&plan, &refs);
-        let per_call = m.infer_batch_refs(&refs);
+        let per_call = m.infer_batch(&refs);
         for (a, b) in planned.iter().zip(&per_call) {
             assert_eq!(a.logits, b.logits);
             assert_eq!(a.pooled, b.pooled);

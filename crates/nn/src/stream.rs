@@ -296,9 +296,11 @@ fn load_shard(
     Ok(())
 }
 
-/// An in-memory [`ShardSource`]: all shards decoded once and held resident.
-/// This is the legacy-equivalent path (`irnuma train --in-memory`) and the
-/// determinism oracle the streaming path is tested against.
+/// An in-memory [`ShardSource`]: all shards held resident. In-memory
+/// training (`GnnClassifier::fit`, `irnuma train` on a JSON dataset) is a
+/// one-shard `MemorySource`; a pack drained into one (`irnuma train
+/// --in-memory`) is the determinism oracle the streaming path is tested
+/// against.
 pub struct MemorySource {
     shards: Vec<Option<(Vec<GraphData>, Vec<usize>)>>,
     order: VecDeque<usize>,

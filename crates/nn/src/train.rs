@@ -1,5 +1,12 @@
 //! Adam optimizer and the graph-classification trainer.
 //!
+//! There is one epoch loop ([`GnnClassifier::fit_with_engine`]) and it
+//! reads its graphs from a [`ShardSource`]: packed shards streamed from
+//! disk, or a [`MemorySource`] holding resident graphs. In-memory training
+//! ([`GnnClassifier::fit`]) is a one-shard `MemorySource` fed to the same
+//! loop, so every fit follows one seeded trajectory and writes one
+//! checkpoint format.
+//!
 //! Minibatch gradients flow through the tape-free fused engine
 //! ([`crate::backprop`]) by default: per-graph forward+backward in parallel
 //! (rayon map) with fixed graph→buffer assignment and an ordered pairwise
@@ -8,22 +15,24 @@
 //! [`TrainEngine::TapeReference`] — the verification oracle and benchmark
 //! baseline.
 //!
-//! Training can checkpoint through `irnuma-store`
-//! ([`GnnClassifier::fit_checkpointed`]): every N epochs the full trainer
-//! state (weights, Adam moments, loss history) is written atomically, and a
-//! resumed run replays the RNG to the checkpointed epoch so an interrupted
-//! run reproduces the uninterrupted one bit for bit.
+//! Training can checkpoint through `irnuma-store`: every N epochs the full
+//! trainer state (weights, Adam moments, loss history) is written
+//! atomically. Each epoch's shuffle RNG is derived from the seed and the
+//! epoch number, so a resumed run replays nothing and still reproduces the
+//! uninterrupted one bit for bit.
 
 use crate::backprop::FusedEngine;
 use crate::graphdata::GraphData;
 use crate::model::{GnnConfig, GnnModel};
-use crate::stream::ShardSource;
+use crate::stream::{MemorySource, ShardBatch, ShardSource};
 use crate::tensor::Tensor;
+use irnuma_store::invalid;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -88,12 +97,12 @@ impl Adam {
     }
 }
 
-/// Which gradient engine drives the epoch loop. Both compute the same math
-/// (fused forward losses are bit-identical to the tape; gradients agree to
-/// float rounding), so this is a performance switch, not a semantic one —
-/// which is why it is *not* part of [`TrainParams`] (and never reaches a
-/// checkpoint): a run checkpointed under one engine may resume under the
-/// other.
+/// How the epoch loop computes one minibatch's `(loss, grads)`. Both
+/// engines compute the same math (fused forward losses are bit-identical to
+/// the tape; gradients agree to float rounding), so this is a performance
+/// switch, not a semantic one — which is why it is *not* part of
+/// [`TrainParams`] (and never reaches a checkpoint): a run checkpointed
+/// under one engine may resume under the other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TrainEngine {
     /// The tape-free fused forward+backward engine
@@ -122,7 +131,7 @@ impl Default for TrainParams {
     }
 }
 
-/// Checkpointing knobs for [`GnnClassifier::fit_checkpointed`].
+/// Checkpointing knobs for [`GnnClassifier::fit_streaming`].
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
     /// Directory holding `ckpt-<epoch>.json` files plus the `latest` pointer.
@@ -139,8 +148,9 @@ const LATEST_KIND: &str = "checkpoint-pointer";
 const LATEST_FILE: &str = "latest";
 
 /// The full trainer state after `epoch` completed epochs: enough to continue
-/// training bit-for-bit (weights, Adam moments, loss history; the shuffle
-/// RNG is re-derived from `params.seed` by replaying `epoch` shuffles).
+/// training bit-for-bit (weights, Adam moments, loss history; each epoch's
+/// shuffle RNG is derived from `params.seed` and the epoch number, so
+/// nothing is replayed).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrainCheckpoint {
     /// Number of completed epochs.
@@ -149,12 +159,11 @@ pub struct TrainCheckpoint {
     pub classifier: GnnClassifier,
     adam: Adam,
     pub history: Vec<f64>,
-    /// Whether this checkpoint came from the streaming loop
-    /// ([`GnnClassifier::fit_streaming`]). The two loops consume graphs in
-    /// different seeded orders, so resuming one from the other's checkpoint
-    /// would silently change the training trajectory — each path refuses
-    /// the other's checkpoints. Defaults to `false` for pre-streaming
-    /// checkpoints.
+    /// `true` for every checkpoint the epoch loop writes. Checkpoints
+    /// without it (`false` by default) come from an older in-memory loop
+    /// that drew all epochs' shuffles from one sequential RNG; that scheme
+    /// is gone, so resuming one would silently change the training
+    /// trajectory and is refused.
     #[serde(default)]
     pub streaming: bool,
 }
@@ -235,232 +244,56 @@ impl GnnClassifier {
         GnnClassifier { model: GnnModel::new(cfg) }
     }
 
-    /// Train on labeled graphs; returns the mean loss per epoch.
+    /// Train on labeled graphs; returns the mean loss per epoch. The graphs
+    /// are copied into a one-shard [`MemorySource`] for
+    /// [`GnnClassifier::fit_streaming`]; callers that own their training
+    /// set should move it into a `MemorySource` themselves and skip the
+    /// copy. Panics on input the loop rejects (an out-of-range label, no
+    /// graphs).
     pub fn fit(&mut self, graphs: &[GraphData], labels: &[usize], p: TrainParams) -> Vec<f64> {
-        self.fit_checkpointed(graphs, labels, p, None)
-            .expect("training without checkpoints performs no I/O")
+        let mut source = MemorySource::from_shards(vec![(graphs.to_vec(), labels.to_vec())]);
+        self.fit_streaming(&mut source, p, None).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`GnnClassifier::fit`] with optional crash-safe checkpointing: every
-    /// `ckpt.every` epochs (and at the final epoch) the trainer state is
-    /// written atomically under `ckpt.dir`. With `ckpt.resume`, training
-    /// continues from the newest valid checkpoint — the shuffle RNG is
-    /// fast-forwarded by replaying the completed epochs' shuffles, so an
-    /// interrupted-then-resumed run reproduces the uninterrupted run bit
-    /// for bit on the same seed.
-    pub fn fit_checkpointed(
-        &mut self,
-        graphs: &[GraphData],
-        labels: &[usize],
-        p: TrainParams,
-        ckpt: Option<&CheckpointConfig>,
-    ) -> io::Result<Vec<f64>> {
-        self.fit_with_engine(graphs, labels, p, ckpt, TrainEngine::Fused)
-    }
-
-    /// [`GnnClassifier::fit_checkpointed`] with an explicit gradient engine
-    /// (benchmarks pin [`TrainEngine::TapeReference`] as the baseline).
-    pub fn fit_with_engine(
-        &mut self,
-        graphs: &[GraphData],
-        labels: &[usize],
-        p: TrainParams,
-        ckpt: Option<&CheckpointConfig>,
-        engine: TrainEngine,
-    ) -> io::Result<Vec<f64>> {
-        assert_eq!(graphs.len(), labels.len());
-        assert!(!graphs.is_empty(), "cannot fit on an empty dataset");
-        for &l in labels {
-            assert!(l < self.model.cfg.classes, "label {l} out of range");
-        }
-        let mut adam = Adam::new(&self.model.params, p.lr);
-        let mut rng = ChaCha8Rng::seed_from_u64(p.seed);
-        let mut order: Vec<usize> = (0..graphs.len()).collect();
-        let mut history = Vec::with_capacity(p.epochs);
-        let mut start_epoch = 0;
-
-        if let Some(c) = ckpt.filter(|c| c.resume) {
-            if let Some(saved) = TrainCheckpoint::load_latest(&c.dir)? {
-                let same = (saved.params.batch_size, saved.params.lr, saved.params.seed)
-                    == (p.batch_size, p.lr, p.seed);
-                if !same || saved.classifier.model.cfg != self.model.cfg {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "checkpoint at epoch {} was trained with different \
-                             hyper-parameters or model shape; refusing to resume",
-                            saved.epoch
-                        ),
-                    ));
-                }
-                if saved.streaming {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "checkpoint at epoch {} came from the streaming loop; \
-                             resume it with `fit_streaming` (the in-memory loop \
-                             shuffles graphs in a different seeded order)",
-                            saved.epoch
-                        ),
-                    ));
-                }
-                start_epoch = saved.epoch;
-                *self = saved.classifier;
-                adam = saved.adam;
-                history = saved.history;
-                // Replay the completed epochs' shuffles: `order` and `rng`
-                // end up exactly where the uninterrupted run had them.
-                for _ in 0..start_epoch {
-                    order.shuffle(&mut rng);
-                }
-                irnuma_obs::info!(
-                    "resuming training at epoch {start_epoch}/{} from {}",
-                    p.epochs,
-                    c.dir.display()
-                );
-            }
-        }
-
-        let mut fused = FusedEngine::new();
-        let mut fit_span = irnuma_obs::span!(
-            "train.fit",
-            graphs = graphs.len(),
-            epochs = p.epochs,
-            batch_size = p.batch_size
-        );
-        for epoch in start_epoch..p.epochs {
-            let mut epoch_span = irnuma_obs::span!("train.epoch", epoch = epoch);
-            order.shuffle(&mut rng);
-            let mut epoch_loss = 0.0;
-            // Gradient-norm telemetry is sampled from the epoch's final
-            // minibatch: a full pass over every parameter per chunk would
-            // cost more than the tracing budget allows.
-            let mut grad_sq = 0.0f64;
-            let chunks = order.chunks(p.batch_size.max(1));
-            let last_chunk = chunks.len().saturating_sub(1);
-            for (chunk_i, chunk) in chunks.enumerate() {
-                match engine {
-                    TrainEngine::Fused => {
-                        // Fixed graph→buffer assignment + ordered tree
-                        // reduce inside `batch_grads`: deterministic.
-                        let (chunk_loss, gb) =
-                            fused.batch_grads(&self.model, graphs, labels, chunk);
-                        epoch_loss += chunk_loss;
-                        let views = gb.views();
-                        if irnuma_obs::telemetry_enabled() {
-                            if chunk_i == last_chunk {
-                                grad_sq = gb.squared_norm();
-                            }
-                            let t0 = std::time::Instant::now();
-                            adam.step(&mut self.model.params, &views);
-                            irnuma_obs::histogram!("train.adam_step_ns")
-                                .record_duration(t0.elapsed());
-                            irnuma_obs::counter!("train.batches").inc(1);
-                        } else {
-                            adam.step(&mut self.model.params, &views);
-                        }
-                    }
-                    TrainEngine::TapeReference => {
-                        // Parallel map, canonical-order reduce: deterministic.
-                        // Worker spans adopt the epoch's context so the
-                        // trace forest nests them under this epoch.
-                        let ctx = epoch_span.ctx();
-                        let results: Vec<(f64, Vec<Tensor>)> = chunk
-                            .par_iter()
-                            .map(|&i| {
-                                let _g = irnuma_obs::span_fanout!(ctx, "train.tape_grads");
-                                self.model.loss_and_grads(&graphs[i], labels[i])
-                            })
-                            .collect();
-                        let mut total: Vec<Tensor> = self
-                            .model
-                            .params
-                            .iter()
-                            .map(|q| Tensor::zeros(q.rows, q.cols))
-                            .collect();
-                        let inv = 1.0 / chunk.len() as f32;
-                        for (loss, grads) in results {
-                            epoch_loss += loss;
-                            for (acc, g) in total.iter_mut().zip(&grads) {
-                                acc.axpy(inv, g);
-                            }
-                        }
-                        let views: Vec<&[f32]> = total.iter().map(|t| t.data.as_slice()).collect();
-                        if irnuma_obs::telemetry_enabled() {
-                            if chunk_i == last_chunk {
-                                grad_sq = total
-                                    .iter()
-                                    .flat_map(|t| &t.data)
-                                    .map(|&g| g as f64 * g as f64)
-                                    .sum::<f64>();
-                            }
-                            let t0 = std::time::Instant::now();
-                            adam.step(&mut self.model.params, &views);
-                            irnuma_obs::histogram!("train.adam_step_ns")
-                                .record_duration(t0.elapsed());
-                            irnuma_obs::counter!("train.batches").inc(1);
-                        } else {
-                            adam.step(&mut self.model.params, &views);
-                        }
-                    }
-                }
-            }
-            let mean_loss = epoch_loss / graphs.len() as f64;
-            if irnuma_obs::telemetry_enabled() {
-                epoch_span.field("loss", mean_loss);
-                epoch_span.field("grad_norm", grad_sq.sqrt());
-                irnuma_obs::histogram!("train.epoch_ns").record_duration(epoch_span.elapsed());
-                irnuma_obs::gauge!("train.loss").set(mean_loss);
-            }
-            history.push(mean_loss);
-
-            if let Some(c) = ckpt {
-                let done = epoch + 1;
-                if (c.every > 0 && done % c.every == 0) || done == p.epochs {
-                    TrainCheckpoint {
-                        epoch: done,
-                        params: p,
-                        classifier: self.clone(),
-                        adam: adam.clone(),
-                        history: history.clone(),
-                        streaming: false,
-                    }
-                    .save(&c.dir)?;
-                    irnuma_obs::counter!("ckpt.written").inc(1);
-                }
-            }
-        }
-        if let Some(&last) = history.last() {
-            fit_span.field("final_loss", last);
-        }
-        Ok(history)
-    }
-
-    /// Train from a [`ShardSource`] — the out-of-core epoch loop. Shards
-    /// are visited in a seeded order and only one decoded shard is resident
-    /// at a time (two with the [`crate::stream::ShardStream`] double
-    /// buffer), so the corpus never has to fit in memory.
-    ///
-    /// Determinism: each epoch derives a fresh RNG from
-    /// `seed ⊕ mix(epoch)`, then shuffles the shard order and each shard's
-    /// records with it. Shard arrival order is fixed by
-    /// [`ShardSource::begin_epoch`] and gradient reduction is the fused
-    /// engine's ordered tree, so the whole trajectory depends only on the
-    /// seed and the pack — never on thread timing. Per-epoch derivation
-    /// (rather than one sequential RNG) is what makes `--resume` exact with
-    /// no replay: epoch `k`'s shuffles are the same whether or not epochs
-    /// `0..k` ran in this process.
-    ///
-    /// Checkpoints are tagged `streaming: true`; resuming an in-memory
-    /// ([`GnnClassifier::fit_checkpointed`]) checkpoint here is refused
-    /// (and vice versa) since the two loops consume graphs in different
-    /// seeded orders.
+    /// Train from a [`ShardSource`] with the fused engine, optionally
+    /// checkpointing: every `ckpt.every` epochs (and at the final epoch)
+    /// the trainer state is written atomically under `ckpt.dir`. With
+    /// `ckpt.resume`, training continues from the newest valid checkpoint.
     pub fn fit_streaming(
         &mut self,
         source: &mut dyn ShardSource,
         p: TrainParams,
         ckpt: Option<&CheckpointConfig>,
     ) -> io::Result<Vec<f64>> {
+        self.fit_with_engine(source, p, ckpt, TrainEngine::Fused)
+    }
+
+    /// The epoch loop, with an explicit gradient engine (benchmarks pin
+    /// [`TrainEngine::TapeReference`] as the baseline). Shards are visited
+    /// in a seeded order and only one decoded shard is resident at a time
+    /// (two with the [`crate::stream::ShardStream`] double buffer), so the
+    /// corpus never has to fit in memory.
+    ///
+    /// Determinism: each epoch derives a fresh RNG from
+    /// `seed ⊕ mix(epoch)`, then shuffles the shard order and each shard's
+    /// records with it. Shard arrival order is fixed by
+    /// [`ShardSource::begin_epoch`] and gradient reduction is the fused
+    /// engine's ordered tree, so the whole trajectory depends only on the
+    /// seed and the shards — never on thread timing. Per-epoch derivation
+    /// (rather than one sequential RNG) is what makes `--resume` exact with
+    /// no replay: epoch `k`'s shuffles are the same whether or not epochs
+    /// `0..k` ran in this process.
+    ///
+    /// Shard contents are untrusted: a label outside the model's classes,
+    /// or a shard whose label and graph counts differ, is an
+    /// [`io::ErrorKind::InvalidData`] error.
+    pub fn fit_with_engine(
+        &mut self,
+        source: &mut dyn ShardSource,
+        p: TrainParams,
+        ckpt: Option<&CheckpointConfig>,
+        engine: TrainEngine,
+    ) -> io::Result<Vec<f64>> {
         let mut adam = Adam::new(&self.model.params, p.lr);
         let mut history = Vec::with_capacity(p.epochs);
         let mut start_epoch = 0;
@@ -470,32 +303,26 @@ impl GnnClassifier {
                 let same = (saved.params.batch_size, saved.params.lr, saved.params.seed)
                     == (p.batch_size, p.lr, p.seed);
                 if !same || saved.classifier.model.cfg != self.model.cfg {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "checkpoint at epoch {} was trained with different \
-                             hyper-parameters or model shape; refusing to resume",
-                            saved.epoch
-                        ),
-                    ));
+                    return Err(invalid(format!(
+                        "checkpoint at epoch {} was trained with different \
+                         hyper-parameters or model shape; refusing to resume",
+                        saved.epoch
+                    )));
                 }
                 if !saved.streaming {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "checkpoint at epoch {} came from the in-memory loop; \
-                             resume it with `fit_checkpointed` (the streaming loop \
-                             shuffles graphs in a different seeded order)",
-                            saved.epoch
-                        ),
-                    ));
+                    return Err(invalid(format!(
+                        "checkpoint at epoch {} uses the legacy sequential shuffle \
+                         RNG, which no longer exists; resuming it would change the \
+                         training trajectory",
+                        saved.epoch
+                    )));
                 }
                 start_epoch = saved.epoch;
                 *self = saved.classifier;
                 adam = saved.adam;
                 history = saved.history;
                 irnuma_obs::info!(
-                    "resuming streaming training at epoch {start_epoch}/{} from {}",
+                    "resuming training at epoch {start_epoch}/{} from {}",
                     p.epochs,
                     c.dir.display()
                 );
@@ -512,34 +339,50 @@ impl GnnClassifier {
         );
         for epoch in start_epoch..p.epochs {
             let mut epoch_span = irnuma_obs::span!("train.epoch", epoch = epoch);
-            let mut rng = ChaCha8Rng::seed_from_u64(streaming_epoch_seed(p.seed, epoch));
+            let mut rng = ChaCha8Rng::seed_from_u64(epoch_seed(p.seed, epoch));
             let mut shard_order: Vec<usize> = (0..num_shards).collect();
             shard_order.shuffle(&mut rng);
             source.begin_epoch(&shard_order);
 
             let mut epoch_loss = 0.0;
             let mut seen = 0usize;
+            // Gradient-norm telemetry samples the epoch's final minibatch
+            // (each shard's last chunk overwrites the previous): a full pass
+            // over every parameter per chunk would cost more than the
+            // tracing budget allows.
             let mut grad_sq = 0.0f64;
             for _ in 0..num_shards {
                 let batch = source.next_shard()?;
-                for &l in &batch.labels {
-                    assert!(l < self.model.cfg.classes, "label {l} out of range");
-                }
+                check_batch(&batch, self.model.cfg.classes)?;
                 let mut order: Vec<usize> = (0..batch.len()).collect();
                 order.shuffle(&mut rng);
                 let chunks = order.chunks(p.batch_size.max(1));
                 let last_chunk = chunks.len().saturating_sub(1);
                 for (chunk_i, chunk) in chunks.enumerate() {
-                    let (chunk_loss, gb) =
-                        fused.batch_grads(&self.model, &batch.graphs, &batch.labels, chunk);
+                    let tape_grads: Vec<Tensor>;
+                    let (chunk_loss, views) = match engine {
+                        // Fixed graph→buffer assignment + ordered tree
+                        // reduce inside `batch_grads`: deterministic.
+                        TrainEngine::Fused => {
+                            let (loss, gb) =
+                                fused.batch_grads(&self.model, &batch.graphs, &batch.labels, chunk);
+                            (loss, gb.views())
+                        }
+                        TrainEngine::TapeReference => {
+                            let (loss, grads) =
+                                tape_batch_grads(&self.model, &batch, chunk, epoch_span.ctx());
+                            tape_grads = grads;
+                            (loss, tape_grads.iter().map(|t| t.data.as_slice()).collect())
+                        }
+                    };
                     epoch_loss += chunk_loss;
-                    let views = gb.views();
                     if irnuma_obs::telemetry_enabled() {
-                        // Gradient-norm telemetry samples the epoch's final
-                        // minibatch; each shard's last chunk overwrites the
-                        // previous, leaving the last shard's.
                         if chunk_i == last_chunk {
-                            grad_sq = gb.squared_norm();
+                            grad_sq = views
+                                .iter()
+                                .flat_map(|v| v.iter())
+                                .map(|&g| g as f64 * g as f64)
+                                .sum();
                         }
                         let t0 = std::time::Instant::now();
                         adam.step(&mut self.model.params, &views);
@@ -553,10 +396,7 @@ impl GnnClassifier {
                 source.recycle(batch);
             }
             if seen == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "streaming source yielded no training graphs",
-                ));
+                return Err(invalid("training source yielded no training graphs"));
             }
             let mean_loss = epoch_loss / seen as f64;
             if irnuma_obs::telemetry_enabled() {
@@ -619,7 +459,11 @@ impl GnnClassifier {
     /// Fraction of graphs classified correctly (one batched inference
     /// pass). `None` on an empty graph set — there is no accuracy to
     /// report, and `0.0` would read as "everything misclassified".
-    pub fn accuracy(&self, graphs: &[GraphData], labels: &[usize]) -> Option<f64> {
+    pub fn accuracy<G: Borrow<GraphData> + Sync>(
+        &self,
+        graphs: &[G],
+        labels: &[usize],
+    ) -> Option<f64> {
         if graphs.is_empty() {
             return None;
         }
@@ -629,18 +473,67 @@ impl GnnClassifier {
     }
 }
 
-/// The streaming loop's per-epoch RNG seed: the run seed xor-mixed with a
+/// Reject a shard the loop cannot train on: mismatched graph and label
+/// counts, or a label outside `0..classes`.
+fn check_batch(batch: &ShardBatch, classes: usize) -> io::Result<()> {
+    if batch.labels.len() != batch.graphs.len() {
+        return Err(invalid(format!(
+            "shard {} holds {} graphs but {} labels",
+            batch.shard,
+            batch.graphs.len(),
+            batch.labels.len()
+        )));
+    }
+    match batch.labels.iter().find(|&&l| l >= classes) {
+        Some(l) => Err(invalid(format!(
+            "shard {}: label {l} out of range for {classes} classes",
+            batch.shard
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// The tape oracle's minibatch gradient: per-graph tape forward+backward in
+/// parallel, then a canonical-order reduce of the chunk-mean gradient
+/// (deterministic). Worker spans adopt the epoch's context so the trace
+/// forest nests them under the epoch.
+fn tape_batch_grads(
+    model: &GnnModel,
+    batch: &ShardBatch,
+    chunk: &[usize],
+    ctx: irnuma_obs::TraceContext,
+) -> (f64, Vec<Tensor>) {
+    let results: Vec<(f64, Vec<Tensor>)> = chunk
+        .par_iter()
+        .map(|&i| {
+            let _g = irnuma_obs::span_fanout!(ctx, "train.tape_grads");
+            model.loss_and_grads(&batch.graphs[i], batch.labels[i])
+        })
+        .collect();
+    let mut total: Vec<Tensor> =
+        model.params.iter().map(|q| Tensor::zeros(q.rows, q.cols)).collect();
+    let inv = 1.0 / chunk.len() as f32;
+    let mut loss = 0.0;
+    for (l, grads) in results {
+        loss += l;
+        for (acc, g) in total.iter_mut().zip(&grads) {
+            acc.axpy(inv, g);
+        }
+    }
+    (loss, total)
+}
+
+/// The epoch loop's per-epoch RNG seed: the run seed xor-mixed with a
 /// splitmix-style odd multiplier of `epoch + 1` (so epoch 0 differs from
 /// the raw seed). Deriving per epoch — instead of advancing one sequential
 /// RNG — is what lets `--resume` start at epoch `k` with zero replay.
-fn streaming_epoch_seed(seed: u64, epoch: usize) -> u64 {
+fn epoch_seed(seed: u64, epoch: usize) -> u64 {
     seed ^ (epoch as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::MemorySource;
     use irnuma_graph::{EdgeKind, Graph, NodeKind};
 
     /// Two synthetic graph families that differ in structure: "chains"
@@ -684,6 +577,12 @@ mod tests {
         GnnConfig { vocab_size: 24, hidden: 12, classes: 2, layers: 2, layer_norm: true, seed: 3 }
     }
 
+    /// The test corpus as one in-memory shard — what [`GnnClassifier::fit`]
+    /// trains on.
+    fn one_shard() -> MemorySource {
+        MemorySource::from_shards(vec![dataset()])
+    }
+
     #[test]
     fn training_separates_two_structural_classes() {
         let (gs, ls) = dataset();
@@ -711,12 +610,12 @@ mod tests {
 
     #[test]
     fn fused_and_tape_engines_agree() {
-        let (gs, ls) = dataset();
         let p = TrainParams { epochs: 3, batch_size: 4, lr: 1e-3, seed: 11 };
         let mut fused = GnnClassifier::new(cfg());
-        let hf = fused.fit_with_engine(&gs, &ls, p, None, TrainEngine::Fused).unwrap();
+        let hf = fused.fit_with_engine(&mut one_shard(), p, None, TrainEngine::Fused).unwrap();
         let mut tape = GnnClassifier::new(cfg());
-        let ht = tape.fit_with_engine(&gs, &ls, p, None, TrainEngine::TapeReference).unwrap();
+        let ht =
+            tape.fit_with_engine(&mut one_shard(), p, None, TrainEngine::TapeReference).unwrap();
         // The fused forward is bit-identical to the tape, but Adam steps
         // between chunks, so all but the first chunk of epoch 0 already see
         // rounding-level weight drift; histories must stay numerically close.
@@ -773,7 +672,7 @@ mod tests {
     #[test]
     fn accuracy_on_empty_set_is_none_not_zero() {
         let clf = GnnClassifier::new(cfg());
-        assert_eq!(clf.accuracy(&[], &[]), None);
+        assert_eq!(clf.accuracy::<GraphData>(&[], &[]), None);
     }
 
     fn ckpt_dir(name: &str) -> std::path::PathBuf {
@@ -795,12 +694,12 @@ mod tests {
         // The "crash": train only 2 epochs, checkpointing every epoch.
         let mut first = GnnClassifier::new(cfg());
         let cc = CheckpointConfig { dir: dir.clone(), every: 1, resume: false };
-        first.fit_checkpointed(&gs, &ls, TrainParams { epochs: 2, ..p4 }, Some(&cc)).unwrap();
+        first.fit_streaming(&mut one_shard(), TrainParams { epochs: 2, ..p4 }, Some(&cc)).unwrap();
 
         // The "restart": a fresh classifier resumes to 4 epochs.
         let mut resumed = GnnClassifier::new(cfg());
         let cr = CheckpointConfig { resume: true, ..cc };
-        let h_res = resumed.fit_checkpointed(&gs, &ls, p4, Some(&cr)).unwrap();
+        let h_res = resumed.fit_streaming(&mut one_shard(), p4, Some(&cr)).unwrap();
 
         assert_eq!(h_full, h_res, "loss history identical across the interruption");
         assert_eq!(full.model.params, resumed.model.params, "weights identical");
@@ -809,12 +708,11 @@ mod tests {
 
     #[test]
     fn resume_skips_torn_latest_and_corrupt_checkpoints() {
-        let (gs, ls) = dataset();
         let p = TrainParams { epochs: 3, batch_size: 4, lr: 1e-3, seed: 5 };
         let dir = ckpt_dir("resume-torn");
         let mut clf = GnnClassifier::new(cfg());
         let cc = CheckpointConfig { dir: dir.clone(), every: 1, resume: false };
-        clf.fit_checkpointed(&gs, &ls, p, Some(&cc)).unwrap();
+        clf.fit_streaming(&mut one_shard(), p, Some(&cc)).unwrap();
 
         // Tear the `latest` pointer and corrupt the newest checkpoint: the
         // loader must fall back to epoch 2, the newest *valid* one.
@@ -840,17 +738,16 @@ mod tests {
 
     #[test]
     fn resume_with_different_hyper_parameters_is_refused() {
-        let (gs, ls) = dataset();
         let p = TrainParams { epochs: 2, batch_size: 4, lr: 1e-3, seed: 5 };
         let dir = ckpt_dir("resume-mismatch");
         let mut clf = GnnClassifier::new(cfg());
         let cc = CheckpointConfig { dir: dir.clone(), every: 1, resume: false };
-        clf.fit_checkpointed(&gs, &ls, p, Some(&cc)).unwrap();
+        clf.fit_streaming(&mut one_shard(), p, Some(&cc)).unwrap();
 
         let mut other = GnnClassifier::new(cfg());
         let cr = CheckpointConfig { resume: true, ..cc };
         let err = other
-            .fit_checkpointed(&gs, &ls, TrainParams { lr: 9e-3, epochs: 4, ..p }, Some(&cr))
+            .fit_streaming(&mut one_shard(), TrainParams { lr: 9e-3, epochs: 4, ..p }, Some(&cr))
             .unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         std::fs::remove_dir_all(&dir).ok();
@@ -902,33 +799,64 @@ mod tests {
     }
 
     #[test]
-    fn streaming_and_in_memory_checkpoints_are_mutually_refused() {
-        let (gs, ls) = dataset();
+    fn one_shard_memory_checkpoint_resumes_bit_for_bit() {
+        let p3 = TrainParams { epochs: 3, batch_size: 4, lr: 1e-3, seed: 5 };
+        let dir = ckpt_dir("one-shard-resume");
+        let mut full = GnnClassifier::new(cfg());
+        let h_full = full.fit_streaming(&mut one_shard(), p3, None).unwrap();
+
+        // Interrupt after the first epoch; the checkpoint is in the single
+        // (per-epoch seeded) format, so the restart accepts it.
+        let cc = CheckpointConfig { dir: dir.clone(), every: 1, resume: false };
+        GnnClassifier::new(cfg())
+            .fit_streaming(&mut one_shard(), TrainParams { epochs: 1, ..p3 }, Some(&cc))
+            .unwrap();
+        assert!(TrainCheckpoint::load_latest(&dir).unwrap().unwrap().streaming);
+        let mut resumed = GnnClassifier::new(cfg());
+        let cr = CheckpointConfig { resume: true, ..cc };
+        let h_res = resumed.fit_streaming(&mut one_shard(), p3, Some(&cr)).unwrap();
+
+        assert_eq!(h_full, h_res, "loss history identical across the interruption");
+        assert_eq!(full.model.params, resumed.model.params, "weights identical");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn legacy_in_memory_checkpoint_is_refused() {
         let p = TrainParams { epochs: 2, batch_size: 4, lr: 1e-3, seed: 5 };
-
-        // A streaming checkpoint must not resume under the in-memory loop.
-        let dir = ckpt_dir("stream-cross-a");
+        let dir = ckpt_dir("legacy-refused");
         let cc = CheckpointConfig { dir: dir.clone(), every: 1, resume: false };
-        GnnClassifier::new(cfg()).fit_streaming(&mut sharded_dataset(), p, Some(&cc)).unwrap();
+        GnnClassifier::new(cfg()).fit_streaming(&mut one_shard(), p, Some(&cc)).unwrap();
+
+        // Rewrite the newest checkpoint as the old in-memory loop wrote it
+        // (`streaming: false`, also the default when the field is absent).
+        let mut legacy = TrainCheckpoint::load_latest(&dir).unwrap().unwrap();
+        legacy.streaming = false;
+        legacy.save(&dir).unwrap();
+
         let cr = CheckpointConfig { resume: true, ..cc };
         let err = GnnClassifier::new(cfg())
-            .fit_checkpointed(&gs, &ls, TrainParams { epochs: 4, ..p }, Some(&cr))
+            .fit_streaming(&mut one_shard(), TrainParams { epochs: 4, ..p }, Some(&cr))
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("streaming"), "{err}");
+        assert!(err.to_string().contains("legacy"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
+    }
 
-        // And an in-memory checkpoint must not resume under streaming.
-        let dir = ckpt_dir("stream-cross-b");
-        let cc = CheckpointConfig { dir: dir.clone(), every: 1, resume: false };
-        GnnClassifier::new(cfg()).fit_checkpointed(&gs, &ls, p, Some(&cc)).unwrap();
-        let cr = CheckpointConfig { resume: true, ..cc };
-        let err = GnnClassifier::new(cfg())
-            .fit_streaming(&mut sharded_dataset(), TrainParams { epochs: 4, ..p }, Some(&cr))
-            .unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("in-memory"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
+    #[test]
+    fn bad_labels_in_a_shard_are_invalid_data() {
+        let (gs, ls) = dataset();
+        let mut out_of_range = ls.clone();
+        out_of_range[3] = 7;
+        let cases = [(out_of_range, "label 7 out of range"), (ls[1..].to_vec(), "23 labels")];
+        for (labels, msg) in cases {
+            let mut bad = MemorySource::from_shards(vec![(gs.clone(), labels)]);
+            let err = GnnClassifier::new(cfg())
+                .fit_streaming(&mut bad, TrainParams::default(), None)
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(msg), "{err}");
+        }
     }
 
     #[test]
