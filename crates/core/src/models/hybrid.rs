@@ -5,7 +5,7 @@
 
 use crate::dataset::Dataset;
 use crate::models::static_gnn::StaticModel;
-use irnuma_ml::{relative_difference, DecisionTree, Ga, GaParams, TreeParams};
+use irnuma_ml::{relative_difference, DecisionTree, Ga, GaParams, LooCart, TreeParams};
 use serde::{Deserialize, Serialize};
 
 /// Hybrid-model hyper-parameters.
@@ -122,25 +122,13 @@ impl HybridModel {
         // selected dims (the paper optimizes the same objective with
         // pyeasyga; balancing matters because "needs profiling" is the
         // minority class).
+        let loo = LooCart::new(&embeddings, &y, tree_params);
         let fitness = |sel: &[usize]| -> f64 {
-            let xs: Vec<Vec<f32>> =
-                embeddings.iter().map(|e| sel.iter().map(|&d| e[d]).collect()).collect();
             let mut hit = [0usize; 2];
             let mut tot = [0usize; 2];
-            for hold in 0..xs.len() {
-                let tx: Vec<Vec<f32>> = xs
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != hold)
-                    .map(|(_, v)| v.clone())
-                    .collect();
-                let ty: Vec<usize> =
-                    y.iter().enumerate().filter(|&(i, _)| i != hold).map(|(_, &v)| v).collect();
-                let t = DecisionTree::fit(&tx, &ty, tree_params);
-                tot[y[hold]] += 1;
-                if t.predict(&xs[hold]) == y[hold] {
-                    hit[y[hold]] += 1;
-                }
+            for (&pred, &truth) in loo.predict_held_out(sel).iter().zip(&y) {
+                tot[truth] += 1;
+                hit[truth] += usize::from(pred == truth);
             }
             let recall = |c: usize| {
                 if tot[c] == 0 {

@@ -59,8 +59,8 @@ impl Ga {
         n: usize,
         rng: &mut ChaCha8Rng,
     ) -> Individual {
-        let mut pool: BTreeSet<usize> = a.iter().chain(b.iter()).copied().collect();
-        let mut merged: Vec<usize> = pool.iter().copied().collect();
+        let pool: BTreeSet<usize> = a.iter().chain(b.iter()).copied().collect();
+        let mut merged: Vec<usize> = pool.into_iter().collect();
         merged.shuffle(rng);
         merged.truncate(k);
         while merged.len() < k {
@@ -68,7 +68,6 @@ impl Ga {
             if !merged.contains(&cand) {
                 merged.push(cand);
             }
-            pool.insert(cand);
         }
         merged.sort_unstable();
         merged
@@ -106,6 +105,13 @@ impl Ga {
             features = n_features,
             k = k
         );
+        if k == n_features {
+            // The only k-subset; mutation could never find a free index.
+            let all: Vec<usize> = (0..n_features).collect();
+            let score = fitness(&all);
+            ga_span.field("best_fitness", score);
+            return (all, score);
+        }
         let mut rng = ChaCha8Rng::seed_from_u64(p.seed);
         let mut pop: Vec<Individual> =
             (0..p.population).map(|_| Self::random_individual(n_features, k, &mut rng)).collect();
@@ -249,6 +255,14 @@ mod tests {
         // Caching must not change the outcome.
         let plain = |sel: &[usize]| sel.iter().map(|&v| ((v * 37) % 11) as f64).sum::<f64>();
         assert_eq!((best, score), ga.select_features(96, 6, plain));
+    }
+
+    #[test]
+    fn selecting_every_feature_returns_the_only_subset() {
+        let (best, score) =
+            Ga::new(small()).select_features(6, 6, |sel| sel.iter().sum::<usize>() as f64);
+        assert_eq!(best, (0..6).collect::<Vec<_>>());
+        assert_eq!(score, 15.0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use irnuma_ml::{
     accuracy, coverage, kfold, mean_speedup, reduce_labels, relative_difference, DecisionTree,
-    TreeParams,
+    LooCart, TreeParams,
 };
 use proptest::prelude::*;
 
@@ -88,5 +88,53 @@ proptest! {
         let a = accuracy(&truth, &pred);
         prop_assert!((0.0..=1.0).contains(&a));
         prop_assert!((accuracy(&truth, &truth) - 1.0).abs() < 1e-12);
+    }
+}
+
+/// `n` rows × `dims` columns, each column quantized to 1, 2, 3, 7 or 1000
+/// levels (1 level = a constant column), so tied values and duplicate rows
+/// are common; labels uniform over `classes`; and a column subset in random
+/// order.
+fn tied_case(
+    n: usize,
+    dims: usize,
+    classes: usize,
+    seed: u64,
+) -> (Vec<Vec<f32>>, Vec<usize>, Vec<usize>) {
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let levels: Vec<u32> =
+        (0..dims).map(|_| [1u32, 2, 3, 7, 1000][rng.gen_range(0..5usize)]).collect();
+    let x = (0..n)
+        .map(|_| levels.iter().map(|&l| rng.gen_range(0..l) as f32 * 0.37 - 1.5).collect())
+        .collect();
+    let y = (0..n).map(|_| rng.gen_range(0..classes)).collect();
+    let mut sel: Vec<usize> = (0..dims).filter(|_| rng.gen_bool(0.6)).collect();
+    sel.shuffle(&mut rng);
+    (x, y, sel)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn loo_cart_matches_refitting_without_each_row(
+        (n, dims, classes, seed) in (3usize..61, 1usize..8, 2usize..6, 0u64..1_000_000),
+        max_depth in prop::sample::select(vec![None, Some(1), Some(2), Some(3)]),
+        min_samples_leaf in 1usize..4,
+    ) {
+        let (x, y, sel) = tied_case(n, dims, classes, seed);
+        let params = TreeParams { max_depth, min_samples_leaf, ..Default::default() };
+        let held_out = LooCart::new(&x, &y, params).predict_held_out(&sel);
+        let project = |row: &Vec<f32>| -> Vec<f32> { sel.iter().map(|&d| row[d]).collect() };
+        for h in 0..n {
+            let tx: Vec<Vec<f32>> =
+                x.iter().enumerate().filter(|&(i, _)| i != h).map(|(_, r)| project(r)).collect();
+            let ty: Vec<usize> =
+                y.iter().enumerate().filter(|&(i, _)| i != h).map(|(_, &c)| c).collect();
+            let oracle = DecisionTree::fit(&tx, &ty, params).predict(&project(&x[h]));
+            prop_assert_eq!(held_out[h], oracle, "row {}", h);
+        }
     }
 }
