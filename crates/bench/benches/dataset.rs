@@ -1,4 +1,4 @@
-//! The out-of-core dataset store: JSON-cache parse vs binary pack decode on
+//! The out-of-core dataset store: JSON-export parse vs binary pack decode on
 //! the same corpus, plus a streaming training epoch over a replicated
 //! (~100x) pack to price the double-buffered shard prefetcher. Results land
 //! in `BENCH_dataset.json` at the repo root, including the headline
@@ -13,7 +13,9 @@
 //! itself always exits zero so a noisy run can't mask the numbers.
 
 use criterion::{black_box, Criterion};
-use irnuma_core::{build_dataset, open_stream, pack_dataset, read_meta, Dataset, DatasetParams};
+use irnuma_core::{
+    build_dataset, load_packed, open_stream, pack_dataset, read_meta, Dataset, DatasetParams,
+};
 use irnuma_graph::Vocab;
 use irnuma_nn::{GnnClassifier, GnnConfig, TrainParams};
 use irnuma_sim::MicroArch;
@@ -29,7 +31,7 @@ fn main() {
     std::fs::create_dir_all(&root).expect("bench tmp dir");
     let json_path = root.join("dataset.json");
     let pack_dir = root.join("pack");
-    ds.save_json(&json_path).expect("json cache");
+    ds.save_json(&json_path).expect("json export");
     let summary = pack_dataset(&ds, &pack_dir, 64).expect("pack");
 
     let mut c = Criterion::default().configure_from_args();
@@ -37,7 +39,7 @@ fn main() {
         let mut grp = c.benchmark_group("dataset");
         grp.sample_size(samples);
         // Both sides are measured to the same end state: a dataset whose
-        // graphs are ready to train on. The JSON cache stores only edge
+        // graphs are ready to train on. The JSON export stores only edge
         // lists, so its cost includes materializing the CSR/CSC adjacency
         // the engines consume; the pack stores those views verbatim and
         // decodes them near-zero-copy.
@@ -54,7 +56,7 @@ fn main() {
             })
         });
         grp.bench_function("binary_load", |b| {
-            b.iter(|| black_box(Dataset::load_auto(black_box(&pack_dir)).expect("binary load")))
+            b.iter(|| black_box(load_packed(black_box(&pack_dir)).expect("binary load")))
         });
         grp.finish();
     }

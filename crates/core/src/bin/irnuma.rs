@@ -6,19 +6,19 @@
 //! irnuma graph cg.spmv [--dot out.dot]        # ProGraML graph stats / DOT
 //! irnuma sweep cg.spmv --arch skylake         # top/bottom configurations
 //! irnuma interp cg.spmv --n 64                # run under the interpreter
-//! irnuma dataset --arch skylake --seqs 12 --out ds.json
-//! irnuma predict cg.spmv --arch skylake [--dataset ds.json]
+//! irnuma dataset --arch skylake --seqs 12 --out ds/
+//! irnuma predict cg.spmv --arch skylake [--dataset ds/]
 //! ```
 
-use irnuma_core::dataset::{
-    build_dataset, build_dataset_report, BuildOptions, Dataset, DatasetParams,
-};
+use irnuma_core::dataset::{build_dataset, BuildOptions, Dataset, DatasetParams};
 use irnuma_core::models::static_gnn::{training_sequence_ids, StaticModel, StaticParams};
 use irnuma_core::{bench_check, dataset_pack, top as top_view, trace_report, trace_tree};
 use irnuma_graph::{build_module_graph, to_dot, Vocab};
 use irnuma_ir::extract::extract_region;
 use irnuma_ir::{print_module, Interp, InterpConfig, Value};
-use irnuma_nn::{CheckpointConfig, GnnClassifier, GnnConfig, MemorySource, TrainParams};
+use irnuma_nn::{
+    CheckpointConfig, GnnClassifier, GnnConfig, MemorySource, ShardSource, TrainParams,
+};
 use irnuma_passes::{o3_sequence, run_sequence};
 use irnuma_sim::{default_config, sweep_region, Machine, MicroArch};
 use irnuma_workloads::{all_regions, InputSize, RegionSpec};
@@ -88,16 +88,15 @@ USAGE:
   irnuma graph <region> [--dot <file>]
   irnuma sweep <region> [--arch skylake|sandybridge|xeongold]
   irnuma interp <region> [--n <elements>]
-  irnuma dataset [--arch <a>] [--seqs <n>] [--calls <n>] --out <file|dir>
-                 [--strict] [--fault <region>[:once]] [--json]
-                 [--pack [--shard-regions <n>]]
-  irnuma dataset pack --in <dataset.json> --out <dir> [--shard-graphs <n>]
+  irnuma dataset [--arch <a>] [--seqs <n>] [--calls <n>] --out <dir>
+                 [--shard-regions <n>] [--strict]
+                 [--fault <region>[:once]] [--json]
   irnuma dataset info <dir> [--verify]
-  irnuma train   [--arch <a>] [--dataset <file.json|pack-dir>] [--seqs <n>]
+  irnuma train   [--arch <a>] [--dataset <dir>] [--seqs <n>]
                  [--epochs <n>] [--hidden <n>] [--seed <n>]
                  [--ckpt-dir <dir>] [--every <n>] [--resume]
-                 [--in-memory] [--out <model.json>]
-  irnuma predict <region> [--arch <a>] [--dataset <file.json|pack-dir>]
+                 [--out <model.json>]
+  irnuma predict <region> [--arch <a>] [--dataset <dir>]
                  [--seqs <n>] [--epochs <n>]
   irnuma report <trace.jsonl> [--require stage1,stage2,...] [--json]
                  [--sort total|p99|count]
@@ -113,6 +112,10 @@ USAGE:
   irnuma serve-bench [--model <model.json> | --connect <addr>]
                  [--requests <n>] [--clients <n>] [--out-json]
   irnuma bench-check [--quick] [--baselines <file.json>] [--root <dir>]
+
+`dataset` writes a pack directory: binary graph shards, the region
+tables, a meta file and, last, `manifest.json`. `train --dataset` and
+`predict --dataset` take such a directory; `train` streams its shards.
 
 Any command also accepts --no-dispatch: run the generic GNN kernels
 instead of the shape-specialized dispatch layer (same bits, no
@@ -152,6 +155,15 @@ fn find_region(name: &str) -> Result<RegionSpec, String> {
 
 fn opt_value<'a>(rest: &'a [String], flag: &str) -> Option<&'a str> {
     rest.iter().position(|a| a == flag).and_then(|i| rest.get(i + 1)).map(String::as_str)
+}
+
+/// `--seqs`, which must name at least one flag sequence.
+fn parse_seqs(rest: &[String], default: &str) -> Result<usize, String> {
+    match opt_value(rest, "--seqs").unwrap_or(default).parse() {
+        Ok(0) => Err("--seqs must be at least 1".to_string()),
+        Ok(n) => Ok(n),
+        Err(_) => Err("bad --seqs".to_string()),
+    }
 }
 
 fn parse_arch(rest: &[String]) -> Result<MicroArch, String> {
@@ -274,114 +286,70 @@ fn interp(rest: &[String]) -> Result<(), String> {
 /// [`serde_json::Value`] by hand because the counter keys carry dots.
 fn dataset_build_summary(
     out: &str,
-    regions: usize,
-    graphs: usize,
+    built: &dataset_pack::PackedBuild,
     configs: usize,
-    label_coverage: f64,
-    skips: &[String],
 ) -> serde_json::Value {
     use serde_json::Value;
     let registry = irnuma_obs::registry();
+    let skips = built.skips.iter().map(|s| Value::Str(s.to_string())).collect();
     Value::Object(vec![
         ("out".into(), Value::Str(out.to_string())),
-        ("regions".into(), Value::UInt(regions as u64)),
-        ("graphs".into(), Value::UInt(graphs as u64)),
+        ("regions".into(), Value::UInt(built.regions as u64)),
+        ("graphs".into(), Value::UInt(built.graphs as u64)),
         ("configs".into(), Value::UInt(configs as u64)),
-        ("label_coverage".into(), Value::Float(label_coverage)),
+        ("label_coverage".into(), Value::Float(built.label_coverage)),
         ("dataset.skipped".into(), Value::UInt(registry.counter("dataset.skipped").get())),
         ("dataset.retried".into(), Value::UInt(registry.counter("dataset.retried").get())),
-        ("skips".into(), Value::Array(skips.iter().map(|s| Value::Str(s.clone())).collect())),
+        ("skips".into(), Value::Array(skips)),
     ])
 }
 
 fn dataset(rest: &[String]) -> Result<(), String> {
     match rest.first().map(String::as_str) {
-        Some("pack") => return dataset_pack_cmd(&rest[1..]),
         Some("info") => return dataset_info(&rest[1..]),
+        Some(sub) if !sub.starts_with("--") => {
+            return Err(format!("unknown dataset subcommand `{sub}`\n{USAGE}"))
+        }
         _ => {}
     }
     let arch = parse_arch(rest)?;
-    let seqs: usize =
-        opt_value(rest, "--seqs").unwrap_or("12").parse().map_err(|_| "bad --seqs")?;
+    let seqs = parse_seqs(rest, "12")?;
     let calls: u32 =
         opt_value(rest, "--calls").unwrap_or("6").parse().map_err(|_| "bad --calls")?;
-    let out = opt_value(rest, "--out").ok_or("missing --out <file.json|dir>")?;
-    let pack = rest.iter().any(|a| a == "--pack");
-    let json = rest.iter().any(|a| a == "--json");
+    let out = opt_value(rest, "--out").ok_or("missing --out <dir>")?;
+    let shard_regions: usize = opt_value(rest, "--shard-regions")
+        .unwrap_or("8")
+        .parse()
+        .map_err(|_| "bad --shard-regions")?;
     let opts = BuildOptions {
         strict: rest.iter().any(|a| a == "--strict"),
         fault: opt_value(rest, "--fault").map(String::from),
     };
     let params = DatasetParams { num_sequences: seqs, calls, ..Default::default() };
     irnuma_obs::info!("building dataset for {arch:?} ({seqs} sequences)…");
+    let built =
+        dataset_pack::build_packed_dataset(arch, &params, &opts, Path::new(out), shard_regions)
+            .map_err(|e| e.to_string())?;
+    let configs = dataset_pack::read_meta(Path::new(out)).map_err(|e| e.to_string())?.configs.len();
 
-    let (regions, graphs, configs, coverage, skips) = if pack {
-        let shard_regions: usize = opt_value(rest, "--shard-regions")
-            .unwrap_or("8")
-            .parse()
-            .map_err(|_| "bad --shard-regions")?;
-        let built =
-            dataset_pack::build_packed_dataset(arch, &params, &opts, Path::new(out), shard_regions)
-                .map_err(|e| e.to_string())?;
-        let configs =
-            dataset_pack::read_meta(Path::new(out)).map_err(|e| e.to_string())?.configs.len();
-        if !json {
-            println!(
-                "packed {out}: {} regions, {} graphs in {} shards",
-                built.regions, built.graphs, built.shards
-            );
-        }
-        (built.regions, built.graphs, configs, built.label_coverage, built.skips)
-    } else {
-        let build = build_dataset_report(arch, &params, &opts).map_err(|e| e.to_string())?;
-        let ds = &build.dataset;
-        ds.save_json(Path::new(out)).map_err(|e| e.to_string())?;
-        let graphs = ds.regions.iter().map(|r| r.graphs.len()).sum();
-        (ds.regions.len(), graphs, ds.configs.len(), ds.label_coverage(), build.skips)
-    };
-
-    if json {
-        let skip_lines: Vec<String> = skips.iter().map(|s| s.to_string()).collect();
-        let summary = dataset_build_summary(out, regions, graphs, configs, coverage, &skip_lines);
+    if rest.iter().any(|a| a == "--json") {
+        let summary = dataset_build_summary(out, &built, configs);
         println!("{}", serde_json::value_to_string(&summary));
         return Ok(());
     }
-    if !pack {
-        println!(
-            "wrote {out}: {regions} regions × {} graphs, {configs} configs, \
-             label coverage {coverage:.3}",
-            graphs / regions.max(1),
-        );
-    }
-    if skips.is_empty() {
+    println!(
+        "packed {out}: {} regions, {} graphs in {} shards, {configs} configs, \
+         label coverage {:.3}",
+        built.regions, built.graphs, built.shards, built.label_coverage
+    );
+    if built.skips.is_empty() {
         println!("skipped 0 regions");
     } else {
-        println!("skipped {} regions:", skips.len());
-        for s in &skips {
+        println!("skipped {} regions:", built.skips.len());
+        for s in &built.skips {
             println!("  {s}");
         }
     }
-    Ok(())
-}
-
-/// `irnuma dataset pack`: re-encode an existing JSON dataset as a pack
-/// directory (binary shards + meta + manifest).
-fn dataset_pack_cmd(rest: &[String]) -> Result<(), String> {
-    let input = opt_value(rest, "--in").ok_or("missing --in <dataset.json>")?;
-    let out = opt_value(rest, "--out").ok_or("missing --out <dir>")?;
-    let shard_graphs: usize = opt_value(rest, "--shard-graphs")
-        .unwrap_or("64")
-        .parse()
-        .map_err(|_| "bad --shard-graphs")?;
-    let ds = Dataset::load_json(Path::new(input)).map_err(|e| e.to_string())?;
-    let summary =
-        dataset_pack::pack_dataset(&ds, Path::new(out), shard_graphs).map_err(|e| e.to_string())?;
-    println!(
-        "packed {out}: {} graphs in {} shards ({} KiB)",
-        summary.graphs,
-        summary.shards,
-        summary.bytes >> 10
-    );
     Ok(())
 }
 
@@ -414,9 +382,12 @@ fn dataset_info(rest: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `irnuma train`: one fit over a [`ShardSource`] — the pack's shard
+/// stream with `--dataset`, otherwise a freshly built dataset's training
+/// graphs as one resident shard.
 fn train(rest: &[String]) -> Result<(), String> {
     let arch = parse_arch(rest)?;
-    let seqs: usize = opt_value(rest, "--seqs").unwrap_or("4").parse().map_err(|_| "bad --seqs")?;
+    let seqs = parse_seqs(rest, "4")?;
     let epochs: usize =
         opt_value(rest, "--epochs").unwrap_or("10").parse().map_err(|_| "bad --epochs")?;
     let hidden: usize =
@@ -430,107 +401,63 @@ fn train(rest: &[String]) -> Result<(), String> {
         every,
         resume,
     });
-    let ds: Dataset = match opt_value(rest, "--dataset") {
-        Some(path) if Path::new(path).is_dir() => {
-            // A pack directory: stream shards through the prefetch loader
-            // instead of materializing the corpus.
-            return train_streaming(rest, Path::new(path), epochs, hidden, seed, ckpt);
-        }
-        Some(path) => Dataset::load_auto(Path::new(path)).map_err(|e| e.to_string())?,
-        None => {
-            irnuma_obs::info!("building dataset (pass --dataset file.json to reuse one)…");
-            build_dataset(arch, &DatasetParams { num_sequences: seqs, ..Default::default() })
-        }
-    };
-    // Flatten every region's training-sequence graphs into one labelled set,
-    // exactly as `StaticModel::train` does over a fold.
-    let seq_ids = training_sequence_ids(ds.sequences.len(), 4.min(ds.sequences.len()));
-    let mut refs = Vec::new();
-    let mut labels = Vec::new();
-    for (r, reg) in ds.regions.iter().enumerate() {
-        for &s in &seq_ids {
-            refs.push(&reg.graphs[s]);
-            labels.push(ds.labels[r]);
-        }
-    }
-    let graphs = refs.iter().map(|&g| g.clone()).collect();
-    let mut source = MemorySource::from_shards(vec![(graphs, labels.clone())]);
+    let (mut source, classes, origin): (Box<dyn ShardSource>, usize, String) =
+        match opt_value(rest, "--dataset") {
+            Some(path) => {
+                let dir = Path::new(path);
+                let meta = dataset_pack::read_meta(dir).map_err(|e| e.to_string())?;
+                let seq_ids = training_sequence_ids(meta.sequences.len(), 4);
+                let stream =
+                    dataset_pack::open_stream(dir, &meta, &seq_ids).map_err(|e| e.to_string())?;
+                let origin = format!(
+                    "pack {path} ({} regions, {} shards)",
+                    meta.regions.len(),
+                    stream.num_shards()
+                );
+                (Box::new(stream), meta.chosen_configs.len(), origin)
+            }
+            None => {
+                irnuma_obs::info!("building dataset (pass --dataset <dir> to reuse a pack)…");
+                let ds = build_dataset(
+                    arch,
+                    &DatasetParams { num_sequences: seqs, ..Default::default() },
+                );
+                // Every region's training-sequence graphs, region-major, as
+                // `StaticModel::train` flattens a fold.
+                let seq_ids = training_sequence_ids(ds.sequences.len(), 4);
+                let mut graphs = Vec::new();
+                let mut labels = Vec::new();
+                for (r, reg) in ds.regions.iter().enumerate() {
+                    for &s in &seq_ids {
+                        graphs.push(reg.graphs[s].clone());
+                        labels.push(ds.labels[r]);
+                    }
+                }
+                let origin = format!("{} graphs of a fresh dataset", graphs.len());
+                let source = MemorySource::from_shards(vec![(graphs, labels)]);
+                (Box::new(source), ds.chosen_configs.len(), origin)
+            }
+        };
     let mut clf = GnnClassifier::new(GnnConfig {
         vocab_size: Vocab::full().len(),
         hidden,
-        classes: ds.chosen_configs.len(),
+        classes,
         layers: 2,
         layer_norm: true,
         seed,
     });
     let p = TrainParams { epochs, batch_size: 16, lr: 3e-3, seed };
-    let t0 = std::time::Instant::now();
-    let history = clf.fit_streaming(&mut source, p, ckpt.as_ref()).map_err(|e| e.to_string())?;
-    let elapsed = t0.elapsed().as_secs_f64();
-    let acc = clf.accuracy(&refs, &labels);
-    println!(
-        "trained {} epochs on {} graphs: loss {:.4} → {:.4}, train accuracy {} \
-         ({:.2} epochs/sec, fused engine)",
-        history.len(),
-        refs.len(),
-        history.first().copied().unwrap_or(f64::NAN),
-        history.last().copied().unwrap_or(f64::NAN),
-        acc.map_or_else(|| "n/a".to_string(), |a| format!("{a:.3}")),
-        history.len() as f64 / elapsed.max(1e-9),
-    );
-    if let Some(out) = opt_value(rest, "--out") {
-        clf.save_json(Path::new(out)).map_err(|e| e.to_string())?;
-        println!("wrote {out}");
-    }
-    Ok(())
-}
-
-/// `irnuma train --dataset <pack-dir>`: the out-of-core epoch loop over a
-/// pack directory. `--in-memory` decodes the pack once and trains resident
-/// — same seeded trajectory, so both modes produce bit-identical models
-/// (CI compares them byte for byte).
-fn train_streaming(
-    rest: &[String],
-    dir: &Path,
-    epochs: usize,
-    hidden: usize,
-    seed: u64,
-    ckpt: Option<CheckpointConfig>,
-) -> Result<(), String> {
-    let meta = dataset_pack::read_meta(dir).map_err(|e| e.to_string())?;
-    let seq_ids = training_sequence_ids(meta.sequences.len(), 4.min(meta.sequences.len()));
-    let mut stream = dataset_pack::open_stream(dir, &meta, &seq_ids).map_err(|e| e.to_string())?;
-    let mut clf = GnnClassifier::new(GnnConfig {
-        vocab_size: Vocab::full().len(),
-        hidden,
-        classes: meta.chosen_configs.len(),
-        layers: 2,
-        layer_norm: true,
-        seed,
-    });
-    let p = TrainParams { epochs, batch_size: 16, lr: 3e-3, seed };
-    let in_memory = rest.iter().any(|a| a == "--in-memory");
     let stall0 = irnuma_obs::registry().counter("loader.prefetch_stall_ns").get();
     let t0 = std::time::Instant::now();
-    let history = if in_memory {
-        let mut mem = MemorySource::from_source(&mut stream).map_err(|e| e.to_string())?;
-        drop(stream);
-        clf.fit_streaming(&mut mem, p, ckpt.as_ref())
-    } else {
-        clf.fit_streaming(&mut stream, p, ckpt.as_ref())
-    }
-    .map_err(|e| e.to_string())?;
+    let history =
+        clf.fit_streaming(source.as_mut(), p, ckpt.as_ref()).map_err(|e| e.to_string())?;
     let elapsed = t0.elapsed().as_secs_f64();
     let stall_ms =
         (irnuma_obs::registry().counter("loader.prefetch_stall_ns").get() - stall0) as f64 / 1e6;
     println!(
-        "trained {} epochs streaming from {} ({} regions, {} shards, {} mode): \
-         loss {:.4} → {:.4} ({:.2} epochs/sec, prefetch stall {stall_ms:.1}ms)",
+        "trained {} epochs on {origin}: loss {:.4} → {:.4} \
+         ({:.2} epochs/sec, prefetch stall {stall_ms:.1}ms)",
         history.len(),
-        dir.display(),
-        meta.regions.len(),
-        irnuma_store::shard::ShardManifest::load(dir).map_err(|e| e.to_string())?.entries.len(),
-        if in_memory { "in-memory" } else { "streaming" },
         history.first().copied().unwrap_or(f64::NAN),
         history.last().copied().unwrap_or(f64::NAN),
         history.len() as f64 / elapsed.max(1e-9),
@@ -545,13 +472,13 @@ fn train_streaming(
 fn predict(rest: &[String]) -> Result<(), String> {
     let target = rest.first().ok_or("missing region name")?.clone();
     let arch = parse_arch(rest)?;
-    let seqs: usize = opt_value(rest, "--seqs").unwrap_or("8").parse().map_err(|_| "bad --seqs")?;
+    let seqs = parse_seqs(rest, "8")?;
     let epochs: usize =
         opt_value(rest, "--epochs").unwrap_or("10").parse().map_err(|_| "bad --epochs")?;
     let ds: Dataset = match opt_value(rest, "--dataset") {
-        Some(path) => Dataset::load_auto(std::path::Path::new(path)).map_err(|e| e.to_string())?,
+        Some(path) => dataset_pack::load_packed(Path::new(path)).map_err(|e| e.to_string())?,
         None => {
-            irnuma_obs::info!("building dataset (pass --dataset file.json to reuse one)…");
+            irnuma_obs::info!("building dataset (pass --dataset <dir> to reuse a pack)…");
             build_dataset(arch, &DatasetParams { num_sequences: seqs, ..Default::default() })
         }
     };

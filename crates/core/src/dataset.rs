@@ -81,31 +81,18 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Serialize the dataset to a JSON cache (steps A–C dominate wall time
-    /// at paper scale). Atomic, versioned, checksummed: a crash mid-write
-    /// leaves any previous cache intact.
+    /// Export the resident dataset as one JSON document (atomic, versioned,
+    /// checksummed). The on-disk dataset format is the pack
+    /// ([`crate::dataset_pack`]); this is the library-level export.
     pub fn save_json(&self, path: &std::path::Path) -> std::io::Result<()> {
         irnuma_store::save_json(path, "dataset", self)
     }
 
-    /// Load a dataset cached with [`Dataset::save_json`]. A truncated or
-    /// corrupt cache fails with [`std::io::ErrorKind::InvalidData`] instead
+    /// Load a dataset exported with [`Dataset::save_json`]. A truncated or
+    /// corrupt file fails with [`std::io::ErrorKind::InvalidData`] instead
     /// of parsing into a garbage dataset.
     pub fn load_json(path: &std::path::Path) -> std::io::Result<Dataset> {
         irnuma_store::load_json(path, "dataset")
-    }
-
-    /// Load a dataset from either storage format: a pack directory written
-    /// by `irnuma dataset pack` (shard manifest + binary graph records) or
-    /// the legacy single-file JSON cache. Detection is structural — a
-    /// directory containing a shard manifest is a pack; anything else goes
-    /// through [`Dataset::load_json`].
-    pub fn load_auto(path: &std::path::Path) -> std::io::Result<Dataset> {
-        if path.is_dir() && irnuma_store::shard::ShardManifest::exists(path) {
-            crate::dataset_pack::load_packed(path)
-        } else {
-            Dataset::load_json(path)
-        }
     }
 
     /// Time of `region` under label class `label`.
@@ -241,6 +228,38 @@ pub fn build_dataset_report(
     params: &DatasetParams,
     opts: &BuildOptions,
 ) -> Result<DatasetBuild, DatasetError> {
+    // All regions are one parallel group, held resident.
+    let mut regions = Vec::new();
+    let run = build_regions(arch, params, opts, usize::MAX, |group| {
+        regions.extend(group);
+        Ok(())
+    })?;
+    Ok(DatasetBuild { dataset: Dataset { regions, ..run.dataset }, skips: run.skips })
+}
+
+/// What [`build_regions`] knows once every region has built.
+pub(crate) struct RegionRun {
+    /// The dataset minus its regions (those went to the sink).
+    pub dataset: Dataset,
+    pub skips: Vec<SkipRecord>,
+    /// The `dataset.build` span, open until the caller drops the run, so
+    /// whatever it writes afterwards counts as part of the build.
+    pub _span: irnuma_obs::SpanGuard,
+}
+
+/// Steps A–C over every region, `group` regions at a time. Regions within a
+/// group build in parallel, each fault-isolated ([`build_region_tolerant`]);
+/// a group's survivors go to `sink` in region order before the next group
+/// starts, so the caller decides how much stays resident. Failures become
+/// [`SkipRecord`]s counted under `dataset.skipped`, or — strict — abort the
+/// build. Step C then reduces the survivors' sweeps to the label set.
+pub(crate) fn build_regions(
+    arch: MicroArch,
+    params: &DatasetParams,
+    opts: &BuildOptions,
+    group: usize,
+    mut sink: impl FnMut(Vec<RegionData>) -> Result<(), DatasetError>,
+) -> Result<RegionRun, DatasetError> {
     let machine = Machine::new(arch);
     let configs = config_space(&machine);
     let sequences = sample_sequences(params.num_sequences, params.seed, SampleParams::default());
@@ -250,53 +269,66 @@ pub fn build_dataset_report(
 
     let span = irnuma_obs::span!(
         "dataset.build",
-        regions = specs.len(),
+        regions = total,
         sequences = sequences.len(),
         configs = configs.len()
     );
     let ctx = span.ctx();
-    let results: Vec<Result<RegionData, SkipRecord>> = specs
-        .into_par_iter()
-        .map(|spec| {
-            build_region_tolerant(&spec, &machine, &configs, &sequences, &vocab, params, opts, ctx)
-        })
-        .collect();
-
-    let mut regions = Vec::with_capacity(total);
+    let mut times: Vec<Vec<f64>> = Vec::with_capacity(total);
+    let mut base: Vec<f64> = Vec::with_capacity(total);
     let mut skips = Vec::new();
-    for res in results {
-        match res {
-            Ok(r) => regions.push(r),
-            Err(skip) => {
-                if opts.strict {
-                    return Err(DatasetError::RegionFailed(skip));
+    for chunk in specs.chunks(group.max(1)) {
+        let results: Vec<Result<RegionData, SkipRecord>> = chunk
+            .par_iter()
+            .map(|spec| {
+                build_region_tolerant(
+                    spec, &machine, &configs, &sequences, &vocab, params, opts, ctx,
+                )
+            })
+            .collect();
+        let mut survivors = Vec::with_capacity(results.len());
+        for res in results {
+            match res {
+                Ok(r) => {
+                    times.push(r.sweep.clone());
+                    base.push(r.default_time);
+                    survivors.push(r);
                 }
-                irnuma_obs::counter!("dataset.skipped").inc(1);
-                skips.push(skip);
+                Err(skip) => {
+                    if opts.strict {
+                        return Err(DatasetError::RegionFailed(skip));
+                    }
+                    irnuma_obs::counter!("dataset.skipped").inc(1);
+                    skips.push(skip);
+                }
             }
         }
+        sink(survivors)?;
     }
-    if regions.is_empty() {
+    if times.is_empty() {
         return Err(DatasetError::NoRegionsSurvived { total, skips });
     }
 
     // Step C: reduce the space to `num_labels` representative configs.
-    let times: Vec<Vec<f64>> = regions.iter().map(|r| r.sweep.clone()).collect();
-    let base: Vec<f64> = regions.iter().map(|r| r.default_time).collect();
     let chosen_configs = irnuma_ml::reduce_labels(&times, &base, params.num_labels);
     let labels = irnuma_ml::labels::label_per_region(&times, &chosen_configs);
-
-    let dataset =
-        Dataset { machine, size: params.size, sequences, configs, regions, chosen_configs, labels };
-    Ok(DatasetBuild { dataset, skips })
+    let dataset = Dataset {
+        machine,
+        size: params.size,
+        sequences,
+        configs,
+        regions: Vec::new(),
+        chosen_configs,
+        labels,
+    };
+    Ok(RegionRun { dataset, skips, _span: span })
 }
 
 /// Fault-isolated build of one region: a span under `ctx`, a
 /// [`catch_unwind`] around every stage, and one retry before the failure is
-/// condensed into a [`SkipRecord`]. Shared by the in-memory build above and
-/// the sharded packed build ([`crate::dataset_pack::build_packed_dataset`]).
+/// condensed into a [`SkipRecord`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn build_region_tolerant(
+fn build_region_tolerant(
     spec: &RegionSpec,
     machine: &Machine,
     configs: &[Config],

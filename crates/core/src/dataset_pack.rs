@@ -19,25 +19,23 @@
 //!   not a pack, so the atomicity of the whole directory reduces to the
 //!   atomicity of one `irnuma_store` write.
 //!
-//! Sharded builds ([`build_packed_dataset`]) reuse the PR 3 fault-isolation
-//! machinery per region and keep only one region-group's graphs resident:
-//! survivors are encoded into the group's shard and dropped before the next
-//! group builds, so peak memory is bounded by the group size, not the
-//! corpus.
+//! [`build_packed_dataset`] runs the same region loop as the in-memory
+//! build (per-region fault isolation, skips, label reduction) one group of
+//! regions at a time: each group's survivors are encoded into the group's
+//! shard and dropped before the next group builds, so peak memory is
+//! bounded by the group size, not the corpus. [`pack_dataset`] writes an
+//! already-resident [`Dataset`] through the same pack writer.
 
 use crate::dataset::{
-    build_region_tolerant, BuildOptions, Dataset, DatasetError, DatasetParams, RegionData,
-    SkipRecord,
+    build_regions, BuildOptions, Dataset, DatasetError, DatasetParams, RegionData, SkipRecord,
 };
-use irnuma_graph::Vocab;
 use irnuma_nn::stream::{RecordMap, ShardStream, GRAPH_SHARD_KIND, RECORD_PREFIX};
 use irnuma_nn::{decode_graph, encode_graph, GraphData};
-use irnuma_passes::{sample_sequences, FlagSequence, SampleParams};
-use irnuma_sim::{config_space, Config, Machine, MicroArch};
-use irnuma_store::shard::{parse_shard, ShardEntry, ShardManifest, ShardWriter};
+use irnuma_passes::FlagSequence;
+use irnuma_sim::{Config, Machine, MicroArch};
+use irnuma_store::shard::{parse_shard, ShardEntry, ShardManifest, ShardWriter, MANIFEST_FILE};
 use irnuma_store::{corruption, invalid};
-use irnuma_workloads::{all_regions, InputSize};
-use rayon::prelude::*;
+use irnuma_workloads::InputSize;
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
@@ -85,9 +83,23 @@ impl PackedMeta {
     }
 }
 
-/// Load a pack directory's meta (no graphs touched).
+/// Load a pack directory's meta (no graphs touched). A path without a
+/// manifest — missing, a plain file, an empty or half-written directory —
+/// is not a pack ([`io::ErrorKind::NotFound`], naming the path); a meta
+/// listing no flag sequences has nothing to train on
+/// ([`io::ErrorKind::InvalidData`]).
 pub fn read_meta(dir: &Path) -> io::Result<PackedMeta> {
-    irnuma_store::load_json(&dir.join(META_FILE), META_KIND)
+    if !ShardManifest::exists(dir) {
+        return Err(io::Error::new(
+            io::ErrorKind::NotFound,
+            format!("`{}` is not a dataset pack (no {MANIFEST_FILE})", dir.display()),
+        ));
+    }
+    let meta: PackedMeta = irnuma_store::load_json(&dir.join(META_FILE), META_KIND)?;
+    if meta.sequences.is_empty() {
+        return Err(invalid(format!("pack `{}` lists no flag sequences", dir.display())));
+    }
+    Ok(meta)
 }
 
 /// What [`pack_dataset`] wrote.
@@ -147,21 +159,6 @@ fn decode_region_tables(rec: &[u8]) -> io::Result<RegionTables> {
     Ok((sweep, dynamic, default_time))
 }
 
-/// Write `regions.bin` from per-region `(sweep, dynamic_features,
-/// default_time)` rows, returning its manifest-style entry for the meta.
-fn write_region_tables<'a, I>(dir: &Path, rows: I) -> io::Result<ShardEntry>
-where
-    I: Iterator<Item = (&'a [f64], &'a [f32], f64)>,
-{
-    let mut writer = ShardWriter::new(REGION_TABLE_KIND);
-    let mut rec = Vec::new();
-    for (sweep, dynamic, default_time) in rows {
-        encode_region_tables(sweep, dynamic, default_time, &mut rec);
-        writer.push(&rec);
-    }
-    writer.finish(dir, REGIONS_FILE)
-}
-
 /// Read and verify `regions.bin` against its meta entry: structural length
 /// gate, per-record checksums via [`parse_shard`], and an exact region
 /// count match.
@@ -192,64 +189,106 @@ fn read_region_tables(
     ranges.into_iter().map(|r| decode_region_tables(&bytes[r])).collect()
 }
 
+/// Writes one pack directory: each region's graph records
+/// (`[u32 region][u32 sequence]` followed by [`encode_graph`]) into
+/// `shard-NNNN.bin` files, then `regions.bin`, the meta and — last, the
+/// commit point — the manifest.
+struct PackWriter<'a> {
+    dir: &'a Path,
+    /// Records per graph shard before it is closed.
+    shard_graphs: usize,
+    manifest: ShardManifest,
+    shard: ShardWriter,
+    rec: Vec<u8>,
+    /// Graphs pushed per region, in region order.
+    graph_counts: Vec<usize>,
+}
+
+impl<'a> PackWriter<'a> {
+    fn new(dir: &'a Path, shard_graphs: usize) -> PackWriter<'a> {
+        PackWriter {
+            dir,
+            shard_graphs: shard_graphs.max(1),
+            manifest: ShardManifest::default(),
+            shard: ShardWriter::new(GRAPH_SHARD_KIND),
+            rec: Vec::new(),
+            graph_counts: Vec::new(),
+        }
+    }
+
+    /// Append the next region's graphs, one record per sequence.
+    fn push_region(&mut self, graphs: &[GraphData]) -> io::Result<()> {
+        let region = self.graph_counts.len() as u32;
+        for (seq, g) in graphs.iter().enumerate() {
+            self.rec.clear();
+            self.rec.extend_from_slice(&region.to_le_bytes());
+            self.rec.extend_from_slice(&(seq as u32).to_le_bytes());
+            encode_graph(g, &mut self.rec);
+            self.shard.push(&self.rec);
+            if self.shard.records() >= self.shard_graphs {
+                self.end_shard()?;
+            }
+        }
+        self.graph_counts.push(graphs.len());
+        Ok(())
+    }
+
+    /// Close the open shard as the next `shard-NNNN.bin` (nothing if empty).
+    fn end_shard(&mut self) -> io::Result<()> {
+        if self.shard.is_empty() {
+            return Ok(());
+        }
+        let full = std::mem::replace(&mut self.shard, ShardWriter::new(GRAPH_SHARD_KIND));
+        let file = format!("shard-{:04}.bin", self.manifest.entries.len());
+        self.manifest.entries.push(full.finish(self.dir, &file)?);
+        Ok(())
+    }
+
+    /// Close the last shard, write `regions.bin` and the meta from `ds`
+    /// (whose regions are the ones pushed, in order; their graphs are not
+    /// read), then the manifest.
+    fn commit(mut self, ds: &Dataset) -> io::Result<PackSummary> {
+        assert_eq!(ds.regions.len(), self.graph_counts.len(), "one pushed region per region");
+        self.end_shard()?;
+        let mut tables = ShardWriter::new(REGION_TABLE_KIND);
+        for r in &ds.regions {
+            encode_region_tables(&r.sweep, &r.dynamic_features, r.default_time, &mut self.rec);
+            tables.push(&self.rec);
+        }
+        let regions = ds.regions.iter().zip(&self.graph_counts);
+        let meta = PackedMeta {
+            machine: ds.machine.clone(),
+            size: ds.size,
+            sequences: ds.sequences.clone(),
+            configs: ds.configs.clone(),
+            regions: regions
+                .map(|(r, &graph_count)| PackedRegion { spec: r.spec.clone(), graph_count })
+                .collect(),
+            region_tables: tables.finish(self.dir, REGIONS_FILE)?,
+            chosen_configs: ds.chosen_configs.clone(),
+            labels: ds.labels.clone(),
+        };
+        meta.save(self.dir)?;
+        let bytes = self.manifest.total_bytes();
+        self.manifest.save(self.dir)?; // the commit point: no manifest, no pack
+        let graphs = self.graph_counts.iter().sum();
+        Ok(PackSummary { shards: self.manifest.entries.len(), graphs, bytes })
+    }
+}
+
 /// Pack an in-memory [`Dataset`] into `dir`: binary graph shards of
 /// `shard_graphs` records each, the meta, and — last — the manifest.
 pub fn pack_dataset(ds: &Dataset, dir: &Path, shard_graphs: usize) -> io::Result<PackSummary> {
-    let span = irnuma_obs::span!("dataset.pack", regions = ds.regions.len());
-    let _ = &span;
-    let mut manifest = ShardManifest::default();
-    let mut writer = ShardWriter::new(GRAPH_SHARD_KIND);
-    let mut rec = Vec::new();
-    let mut graphs = 0usize;
-    for (ri, region) in ds.regions.iter().enumerate() {
-        for (si, g) in region.graphs.iter().enumerate() {
-            rec.clear();
-            rec.extend_from_slice(&(ri as u32).to_le_bytes());
-            rec.extend_from_slice(&(si as u32).to_le_bytes());
-            encode_graph(g, &mut rec);
-            writer.push(&rec);
-            graphs += 1;
-            if writer.records() >= shard_graphs.max(1) {
-                let full = std::mem::replace(&mut writer, ShardWriter::new(GRAPH_SHARD_KIND));
-                let file = format!("shard-{:04}.bin", manifest.entries.len());
-                manifest.entries.push(full.finish(dir, &file)?);
-            }
-        }
+    let _span = irnuma_obs::span!("dataset.pack", regions = ds.regions.len());
+    let mut pack = PackWriter::new(dir, shard_graphs);
+    for r in &ds.regions {
+        pack.push_region(&r.graphs)?;
     }
-    if !writer.is_empty() {
-        let file = format!("shard-{:04}.bin", manifest.entries.len());
-        manifest.entries.push(writer.finish(dir, &file)?);
-    }
-
-    let region_tables = write_region_tables(
-        dir,
-        ds.regions
-            .iter()
-            .map(|r| (r.sweep.as_slice(), r.dynamic_features.as_slice(), r.default_time)),
-    )?;
-    let meta = PackedMeta {
-        machine: ds.machine.clone(),
-        size: ds.size,
-        sequences: ds.sequences.clone(),
-        configs: ds.configs.clone(),
-        regions: ds
-            .regions
-            .iter()
-            .map(|r| PackedRegion { spec: r.spec.clone(), graph_count: r.graphs.len() })
-            .collect(),
-        region_tables,
-        chosen_configs: ds.chosen_configs.clone(),
-        labels: ds.labels.clone(),
-    };
-    meta.save(dir)?;
-    let bytes = manifest.total_bytes();
-    manifest.save(dir)?; // the commit point: no manifest, no pack
-    Ok(PackSummary { shards: manifest.entries.len(), graphs, bytes })
+    pack.commit(ds)
 }
 
-/// Load a whole pack back into an in-memory [`Dataset`] (the legacy-path
-/// bridge: `predict`, evaluation, and small-corpus training all take a
-/// resident dataset). Every shard is checksum-verified; a record for an
+/// Load a whole pack back into an in-memory [`Dataset`] (what `predict`
+/// and evaluation take). Every shard is checksum-verified; a record for an
 /// unknown `(region, sequence)`, a duplicate, or a missing graph is
 /// [`io::ErrorKind::InvalidData`].
 pub fn load_packed(dir: &Path) -> io::Result<Dataset> {
@@ -368,7 +407,7 @@ pub struct PackedBuild {
 
 /// Build the dataset straight into a pack directory, one shard per group
 /// of `shard_regions` regions. Groups build in sequence; regions within a
-/// group build in parallel with the same fault isolation as
+/// group build in parallel with the fault isolation of
 /// [`crate::dataset::build_dataset_report`] (catch_unwind, one retry,
 /// [`SkipRecord`]s, `dataset.skipped`/`dataset.retried` counters). Each
 /// group's surviving graphs are encoded into its shard and dropped before
@@ -381,108 +420,26 @@ pub fn build_packed_dataset(
     dir: &Path,
     shard_regions: usize,
 ) -> Result<PackedBuild, DatasetError> {
-    let machine = Machine::new(arch);
-    let configs = config_space(&machine);
-    let sequences = sample_sequences(params.num_sequences, params.seed, SampleParams::default());
-    let vocab = Vocab::full();
-    let specs = all_regions();
-    let total = specs.len();
-
-    let span = irnuma_obs::span!(
-        "dataset.build",
-        regions = total,
-        sequences = sequences.len(),
-        configs = configs.len()
-    );
-    let ctx = span.ctx();
-
-    let mut manifest = ShardManifest::default();
-    let mut packed_regions: Vec<PackedRegion> = Vec::with_capacity(total);
-    let mut times: Vec<Vec<f64>> = Vec::with_capacity(total);
-    let mut base: Vec<f64> = Vec::with_capacity(total);
-    let mut dyns: Vec<Vec<f32>> = Vec::with_capacity(total);
-    let mut skips = Vec::new();
-    let mut graphs_total = 0usize;
-    let mut rec = Vec::new();
-
-    for group in specs.chunks(shard_regions.max(1)) {
-        let results: Vec<Result<RegionData, SkipRecord>> = group
-            .par_iter()
-            .map(|spec| {
-                build_region_tolerant(
-                    spec, &machine, &configs, &sequences, &vocab, params, opts, ctx,
-                )
-            })
-            .collect();
-        let mut writer = ShardWriter::new(GRAPH_SHARD_KIND);
-        for res in results {
-            match res {
-                Ok(r) => {
-                    let region_idx = packed_regions.len() as u32;
-                    for (seq, g) in r.graphs.iter().enumerate() {
-                        rec.clear();
-                        rec.extend_from_slice(&region_idx.to_le_bytes());
-                        rec.extend_from_slice(&(seq as u32).to_le_bytes());
-                        encode_graph(g, &mut rec);
-                        writer.push(&rec);
-                    }
-                    graphs_total += r.graphs.len();
-                    times.push(r.sweep);
-                    base.push(r.default_time);
-                    dyns.push(r.dynamic_features);
-                    packed_regions
-                        .push(PackedRegion { spec: r.spec, graph_count: sequences.len() });
-                    // r.graphs drop here — the group is this build's
-                    // high-water mark, not the whole corpus.
-                }
-                Err(skip) => {
-                    if opts.strict {
-                        return Err(DatasetError::RegionFailed(skip));
-                    }
-                    irnuma_obs::counter!("dataset.skipped").inc(1);
-                    skips.push(skip);
-                }
-            }
+    let mut pack = PackWriter::new(dir, usize::MAX);
+    let mut regions = Vec::new();
+    let run = build_regions(arch, params, opts, shard_regions, |group| {
+        for mut r in group {
+            pack.push_region(&r.graphs)?;
+            // Graphs drop once encoded: one group is this build's
+            // high-water mark, not the whole corpus.
+            r.graphs = Vec::new();
+            regions.push(r);
         }
-        if !writer.is_empty() {
-            let file = format!("shard-{:04}.bin", manifest.entries.len());
-            manifest.entries.push(writer.finish(dir, &file)?);
-        }
-    }
-    if packed_regions.is_empty() {
-        return Err(DatasetError::NoRegionsSurvived { total, skips });
-    }
-
-    // Step C over the retained sweeps (the graphs are already on disk).
-    let chosen_configs = irnuma_ml::reduce_labels(&times, &base, params.num_labels);
-    let labels = irnuma_ml::labels::label_per_region(&times, &chosen_configs);
-    let label_coverage = irnuma_ml::coverage(&times, &base, &chosen_configs);
-
-    let region_tables = write_region_tables(
-        dir,
-        times.iter().zip(&dyns).zip(&base).map(|((sweep, dynamic), &default_time)| {
-            (sweep.as_slice(), dynamic.as_slice(), default_time)
-        }),
-    )?;
-    let meta = PackedMeta {
-        machine,
-        size: params.size,
-        sequences,
-        configs,
-        regions: packed_regions,
-        region_tables,
-        chosen_configs,
-        labels,
-    };
-    meta.save(dir)?;
-    let shards = manifest.entries.len();
-    manifest.save(dir)?; // the commit point
+        Ok(pack.end_shard()?)
+    })?;
+    let dataset = Dataset { regions, ..run.dataset };
+    let summary = pack.commit(&dataset)?;
     Ok(PackedBuild {
-        regions: meta.regions.len(),
-        graphs: graphs_total,
-        shards,
-        label_coverage,
-        skips,
+        regions: dataset.regions.len(),
+        graphs: summary.graphs,
+        shards: summary.shards,
+        label_coverage: dataset.label_coverage(),
+        skips: run.skips,
     })
 }
 
@@ -535,9 +492,6 @@ mod tests {
 
         let back = load_packed(&d).unwrap();
         assert_datasets_identical(&ds, &back);
-        // And via the auto-detecting loader.
-        let auto = Dataset::load_auto(&d).unwrap();
-        assert_eq!(auto.labels, ds.labels);
     }
 
     #[test]
@@ -647,5 +601,52 @@ mod tests {
         // One record per region survives the sequence filter, in region
         // order (records were packed region-major).
         assert_eq!(labels_seen, meta.labels);
+    }
+
+    #[test]
+    fn streamed_and_resident_training_give_bitwise_equal_params() {
+        use irnuma_nn::stream::ShardSource;
+        use irnuma_nn::{GnnClassifier, GnnConfig, MemorySource, TrainParams};
+        let ds = crate::dataset::build_dataset(MicroArch::Skylake, &tiny());
+        let d = tdir("stream-vs-resident");
+        let summary = pack_dataset(&ds, &d, 24).unwrap();
+        assert!(summary.shards >= 3, "{} shards", summary.shards);
+        let meta = read_meta(&d).unwrap();
+
+        let fit = |source: &mut dyn ShardSource| {
+            let mut clf = GnnClassifier::new(GnnConfig {
+                vocab_size: irnuma_graph::Vocab::full().len(),
+                hidden: 8,
+                classes: meta.chosen_configs.len(),
+                layers: 2,
+                layer_norm: true,
+                seed: 5,
+            });
+            let p = TrainParams { epochs: 2, batch_size: 16, lr: 3e-3, seed: 5 };
+            clf.fit_streaming(source, p, None).unwrap();
+            let params = clf.model.params.iter().flat_map(|t| t.data.iter());
+            params.map(|v| v.to_bits()).collect::<Vec<u32>>()
+        };
+        let streamed = fit(&mut open_stream(&d, &meta, &[0, 1]).unwrap());
+        let mut resident =
+            MemorySource::from_source(&mut open_stream(&d, &meta, &[0, 1]).unwrap()).unwrap();
+        assert_eq!(resident.num_shards(), summary.shards);
+        assert_eq!(streamed, fit(&mut resident), "streamed and resident params differ");
+    }
+
+    #[test]
+    fn opening_a_non_pack_or_a_sequence_less_pack_is_a_typed_error() {
+        let d = tdir("not-a-pack");
+        fs::write(d.join("ds.json"), "{}").unwrap();
+        for path in [d.clone(), d.join("ds.json"), d.join("missing")] {
+            assert_eq!(read_meta(&path).unwrap_err().kind(), io::ErrorKind::NotFound);
+        }
+
+        let mut ds = crate::dataset::build_dataset(MicroArch::Skylake, &tiny());
+        ds.sequences.clear();
+        ds.regions.iter_mut().for_each(|r| r.graphs.clear());
+        pack_dataset(&ds, &d, 16).unwrap();
+        assert_eq!(read_meta(&d).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        assert_eq!(load_packed(&d).unwrap_err().kind(), io::ErrorKind::InvalidData);
     }
 }

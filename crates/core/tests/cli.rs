@@ -98,8 +98,9 @@ fn unknown_region_is_a_clean_error() {
 #[test]
 fn dataset_fault_injection_skips_one_region() {
     let dir = std::env::temp_dir().join("irnuma-cli-fault");
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    let out_file = dir.join("ds.json");
+    let out_file = dir.join("ds");
     let out = irnuma(&[
         "dataset",
         "--seqs",
@@ -128,11 +129,11 @@ fn dataset_fault_injection_skips_one_region() {
         "--fault",
         "cg.spmv",
         "--out",
-        dir.join("ds-strict.json").to_str().unwrap(),
+        dir.join("ds-strict").to_str().unwrap(),
     ]);
     assert!(!strict.status.success());
     assert!(String::from_utf8_lossy(&strict.stderr).contains("strict"));
-    assert!(!dir.join("ds-strict.json").exists(), "no partial artifact on failure");
+    assert!(!dir.join("ds-strict/manifest.json").exists(), "no pack manifest on failure");
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -142,7 +143,7 @@ fn train_resume_is_bit_identical_to_an_uninterrupted_run() {
     let dir = std::env::temp_dir().join("irnuma-cli-train");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    let ds = dir.join("ds.json");
+    let ds = dir.join("ds");
     let out = irnuma(&["dataset", "--seqs", "2", "--calls", "2", "--out", ds.to_str().unwrap()]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 
@@ -210,7 +211,7 @@ fn dataset_json_build_reports_skip_and_retry_counters() {
     let dir = std::env::temp_dir().join("irnuma-cli-fault-json");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    let out_file = dir.join("ds.json");
+    let out_file = dir.join("ds");
     let out = irnuma(&[
         "dataset",
         "--seqs",
@@ -235,93 +236,110 @@ fn dataset_json_build_reports_skip_and_retry_counters() {
 }
 
 #[test]
-fn packed_streaming_train_matches_in_memory_and_resumes_bit_for_bit() {
+fn packed_streaming_train_verifies_and_resumes_bit_for_bit() {
     let dir = std::env::temp_dir().join("irnuma-cli-pack-train");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    let ds = dir.join("ds.json");
-    let out = irnuma(&["dataset", "--seqs", "2", "--calls", "2", "--out", ds.to_str().unwrap()]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 
-    // JSON cache -> binary pack, then verify every checksum.
+    // Build a many-shard pack, then verify every checksum.
     let pack = dir.join("pack");
     let out = irnuma(&[
         "dataset",
-        "pack",
-        "--in",
-        ds.to_str().unwrap(),
+        "--seqs",
+        "2",
+        "--calls",
+        "2",
+        "--shard-regions",
+        "4",
         "--out",
         pack.to_str().unwrap(),
-        "--shard-graphs",
-        "16",
     ]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("in 14 shards"));
     let info = irnuma(&["dataset", "info", pack.to_str().unwrap(), "--verify"]);
     assert!(info.status.success(), "{}", String::from_utf8_lossy(&info.stderr));
     assert!(String::from_utf8_lossy(&info.stdout).contains("verify ok"));
 
-    // Streaming vs the in-memory source over the same pack: byte-identical
-    // models (the determinism contract of the double-buffered loader).
+    // Stream vs resident source over one pack is the library test
+    // `streamed_and_resident_training_give_bitwise_equal_params`.
+    let train = |epochs: &str, extra: &[&str]| {
+        let mut args = vec!["train", "--dataset", pack.to_str().unwrap(), "--epochs", epochs];
+        args.extend_from_slice(extra);
+        let out = irnuma(&args);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    };
     let m_stream = dir.join("m-stream.json");
-    let out = irnuma(&[
-        "train",
-        "--dataset",
-        pack.to_str().unwrap(),
-        "--epochs",
-        "2",
-        "--out",
-        m_stream.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let m_mem = dir.join("m-mem.json");
-    let out = irnuma(&[
-        "train",
-        "--dataset",
-        pack.to_str().unwrap(),
-        "--epochs",
-        "2",
-        "--in-memory",
-        "--out",
-        m_mem.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    train("2", &["--out", m_stream.to_str().unwrap()]);
     let a = std::fs::read(&m_stream).unwrap();
-    let b = std::fs::read(&m_mem).unwrap();
-    assert_eq!(a, b, "streaming model differs from the in-memory source");
 
     // Interrupt at epoch 1, resume to 2: bit-for-bit the uninterrupted run.
     let ckpt = dir.join("ckpt");
-    let out = irnuma(&[
-        "train",
-        "--dataset",
-        pack.to_str().unwrap(),
-        "--epochs",
-        "1",
-        "--ckpt-dir",
-        ckpt.to_str().unwrap(),
-        "--every",
-        "1",
-    ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let ckpt = ckpt.to_str().unwrap();
+    train("1", &["--ckpt-dir", ckpt, "--every", "1"]);
     let m_resumed = dir.join("m-resumed.json");
-    let out = irnuma(&[
-        "train",
-        "--dataset",
-        pack.to_str().unwrap(),
-        "--epochs",
+    train(
         "2",
-        "--ckpt-dir",
-        ckpt.to_str().unwrap(),
-        "--every",
-        "1",
-        "--resume",
-        "--out",
-        m_resumed.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        &["--ckpt-dir", ckpt, "--every", "1", "--resume", "--out", m_resumed.to_str().unwrap()],
+    );
     let c = std::fs::read(&m_resumed).unwrap();
     assert_eq!(a, c, "resumed streaming model differs from the uninterrupted run");
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn dataset_rejects_zero_sequences() {
+    let dir = std::env::temp_dir().join("irnuma-cli-zero-seqs");
+    std::fs::remove_dir_all(&dir).ok();
+    let out = irnuma(&["dataset", "--seqs", "0", "--out", dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--seqs must be at least 1"));
+    assert!(!dir.join("manifest.json").exists());
+}
+
+#[test]
+fn zero_sequence_pack_is_an_error_not_a_panic() {
+    let dir = std::env::temp_dir().join("irnuma-cli-zero-seq-pack");
+    std::fs::remove_dir_all(&dir).ok();
+    let pack = dir.join("pack");
+    let out = irnuma(&["dataset", "--seqs", "1", "--calls", "1", "--out", pack.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    // Rewrite the meta as a pack built from no flag sequences.
+    let mut meta = irnuma_core::read_meta(&pack).unwrap();
+    meta.sequences.clear();
+    meta.save(&pack).unwrap();
+
+    for args in [
+        &["train", "--dataset", pack.to_str().unwrap(), "--epochs", "1"][..],
+        &["predict", "cg.axpy", "--dataset", pack.to_str().unwrap(), "--epochs", "1"][..],
+    ] {
+        let out = irnuma(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("lists no flag sequences"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn non_pack_dataset_path_is_a_typed_error() {
+    let dir = std::env::temp_dir().join("irnuma-cli-not-a-pack");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(dir.join("empty")).unwrap();
+    std::fs::write(dir.join("ds.json"), "{}").unwrap();
+    for path in [dir.join("ds.json"), dir.join("empty"), dir.join("missing")] {
+        let path = path.to_str().unwrap();
+        for args in [
+            &["train", "--dataset", path, "--epochs", "1"][..],
+            &["predict", "cg.axpy", "--dataset", path][..],
+        ] {
+            let out = irnuma(args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            let want = format!("error: `{path}` is not a dataset pack (no manifest.json)");
+            assert!(stderr.contains(&want), "{args:?}: {stderr}");
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

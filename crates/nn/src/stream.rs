@@ -1,6 +1,6 @@
 //! Streaming minibatch loader over packed dataset shards.
 //!
-//! [`ShardStream`] reads shards written by `irnuma dataset pack`
+//! [`ShardStream`] reads the shards of a pack written by `irnuma dataset`
 //! (`irnuma_store::shard` framing, [`crate::binfmt`] record payloads) on a
 //! single prefetch thread, double-buffered: while the trainer runs
 //! `FusedEngine::batch_grads` over one decoded shard, the worker reads and
@@ -297,10 +297,10 @@ fn load_shard(
 }
 
 /// An in-memory [`ShardSource`]: all shards held resident. In-memory
-/// training (`GnnClassifier::fit`, `irnuma train` on a JSON dataset) is a
-/// one-shard `MemorySource`; a pack drained into one (`irnuma train
-/// --in-memory`) is the determinism oracle the streaming path is tested
-/// against.
+/// training (`GnnClassifier::fit`, `irnuma train` without `--dataset`) is a
+/// one-shard `MemorySource`; a pack drained into one
+/// ([`MemorySource::from_source`]) is the determinism oracle the streaming
+/// path is tested against.
 pub struct MemorySource {
     shards: Vec<Option<(Vec<GraphData>, Vec<usize>)>>,
     order: VecDeque<usize>,
