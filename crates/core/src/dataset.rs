@@ -11,11 +11,12 @@
 use irnuma_graph::{build_module_graph, Vocab};
 use irnuma_ir::extract::extract_region;
 use irnuma_nn::GraphData;
-use irnuma_passes::{sample_sequences, FlagSequence, PassManager, SampleParams};
+use irnuma_passes::{sample_sequences, FlagSequence, PassMemo, ResolvedSequence, SampleParams};
 use irnuma_sim::{config_space, default_config, simulate, Config, Machine, MicroArch};
 use irnuma_workloads::{all_regions, InputSize, RegionSpec};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -230,10 +231,17 @@ pub fn build_dataset_report(
 ) -> Result<DatasetBuild, DatasetError> {
     // All regions are one parallel group, held resident.
     let mut regions = Vec::new();
-    let run = build_regions(arch, params, opts, usize::MAX, |group| {
-        regions.extend(group);
-        Ok(())
-    })?;
+    let run = build_regions(
+        arch,
+        params,
+        opts,
+        usize::MAX,
+        |_, g| g.expand(),
+        |group| {
+            regions.extend(group.into_iter().map(|(r, graphs)| RegionData { graphs, ..r }));
+            Ok(())
+        },
+    )?;
     Ok(DatasetBuild { dataset: Dataset { regions, ..run.dataset }, skips: run.skips })
 }
 
@@ -247,22 +255,48 @@ pub(crate) struct RegionRun {
     pub _span: irnuma_obs::SpanGuard,
 }
 
+/// One region's steps A and B: each distinct graph once, and which one every
+/// flag sequence produced.
+pub(crate) struct RegionGraphs {
+    /// Distinct graphs, in the order sequences first produced them.
+    pub distinct: Vec<GraphData>,
+    /// Index into `distinct` per flag sequence, in sequence order.
+    pub of_seq: Vec<u32>,
+    /// Module states the pass memo reached, and passes it ran.
+    states: usize,
+    pass_runs: usize,
+}
+
+impl RegionGraphs {
+    /// One graph per sequence, as [`RegionData::graphs`] holds them.
+    fn expand(self) -> Vec<GraphData> {
+        self.of_seq.iter().map(|&i| self.distinct[i as usize].clone()).collect()
+    }
+}
+
 /// Steps A–C over every region, `group` regions at a time. Regions within a
 /// group build in parallel, each fault-isolated ([`build_region_tolerant`]);
-/// a group's survivors go to `sink` in region order before the next group
-/// starts, so the caller decides how much stays resident. Failures become
-/// [`SkipRecord`]s counted under `dataset.skipped`, or — strict — abort the
-/// build. Step C then reduces the survivors' sweeps to the label set.
-pub(crate) fn build_regions(
+/// each survivor's graphs go through `emit` on its worker, given the
+/// region's index in the dataset assuming no earlier region of its group is
+/// skipped. A group's survivors then go to `sink` in region order, as
+/// `(region without graphs, emitted graphs)`, while the next group builds,
+/// so the caller decides how much stays resident (about two groups).
+/// Failures become [`SkipRecord`]s counted under `dataset.skipped`, or —
+/// strict — abort the build. Step C then reduces the survivors' sweeps to
+/// the label set.
+pub(crate) fn build_regions<T: Send>(
     arch: MicroArch,
     params: &DatasetParams,
     opts: &BuildOptions,
     group: usize,
-    mut sink: impl FnMut(Vec<RegionData>) -> Result<(), DatasetError>,
+    emit: impl Fn(u32, RegionGraphs) -> T + Sync,
+    mut sink: impl FnMut(Vec<(RegionData, T)>) -> Result<(), DatasetError>,
 ) -> Result<RegionRun, DatasetError> {
     let machine = Machine::new(arch);
     let configs = config_space(&machine);
     let sequences = sample_sequences(params.num_sequences, params.seed, SampleParams::default());
+    let resolved: Vec<ResolvedSequence> =
+        sequences.iter().map(|s| ResolvedSequence::new(&s.passes)).collect();
     let vocab = Vocab::full();
     let specs = all_regions();
     let total = specs.len();
@@ -277,21 +311,42 @@ pub(crate) fn build_regions(
     let mut times: Vec<Vec<f64>> = Vec::with_capacity(total);
     let mut base: Vec<f64> = Vec::with_capacity(total);
     let mut skips = Vec::new();
+    let steps = Steps {
+        machine: &machine,
+        configs: &configs,
+        sequences: &sequences,
+        resolved: &resolved,
+        vocab: &vocab,
+        params,
+    };
+    // Survivors of the last group built, not yet handed to `sink`.
+    let mut pending = None;
     for chunk in specs.chunks(group.max(1)) {
-        let results: Vec<Result<RegionData, SkipRecord>> = chunk
-            .par_iter()
-            .map(|spec| {
-                build_region_tolerant(
-                    spec, &machine, &configs, &sequences, &vocab, params, opts, ctx,
-                )
-            })
-            .collect();
+        let first = times.len();
+        let build = || {
+            chunk
+                .par_iter()
+                .enumerate()
+                .map(|(i, spec)| {
+                    let (r, graphs) = build_region_tolerant(spec, &steps, opts, ctx)?;
+                    Ok((r, emit((first + i) as u32, graphs)))
+                })
+                .collect::<Vec<Result<(RegionData, T), SkipRecord>>>()
+        };
+        // The previous group's sink (a pack's shard checksum and write) runs
+        // while this group builds.
+        let (results, sunk) = std::thread::scope(|s| {
+            let built = s.spawn(build);
+            let sunk = pending.take().map_or(Ok(()), &mut sink);
+            (built.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)), sunk)
+        });
+        sunk?;
         let mut survivors = Vec::with_capacity(results.len());
         for res in results {
             match res {
                 Ok(r) => {
-                    times.push(r.sweep.clone());
-                    base.push(r.default_time);
+                    times.push(r.0.sweep.clone());
+                    base.push(r.0.default_time);
                     survivors.push(r);
                 }
                 Err(skip) => {
@@ -303,7 +358,10 @@ pub(crate) fn build_regions(
                 }
             }
         }
-        sink(survivors)?;
+        pending = Some(survivors);
+    }
+    if let Some(last) = pending {
+        sink(last)?;
     }
     if times.is_empty() {
         return Err(DatasetError::NoRegionsSurvived { total, skips });
@@ -324,24 +382,32 @@ pub(crate) fn build_regions(
     Ok(RegionRun { dataset, skips, _span: span })
 }
 
+/// What every region's build shares: the machine, its configuration space,
+/// the flag sequences (also resolved against the pass registry once) and
+/// the graph vocabulary.
+struct Steps<'a> {
+    machine: &'a Machine,
+    configs: &'a [Config],
+    sequences: &'a [FlagSequence],
+    resolved: &'a [ResolvedSequence],
+    vocab: &'a Vocab,
+    params: &'a DatasetParams,
+}
+
 /// Fault-isolated build of one region: a span under `ctx`, a
 /// [`catch_unwind`] around every stage, and one retry before the failure is
 /// condensed into a [`SkipRecord`].
-#[allow(clippy::too_many_arguments)]
 fn build_region_tolerant(
     spec: &RegionSpec,
-    machine: &Machine,
-    configs: &[Config],
-    sequences: &[FlagSequence],
-    vocab: &Vocab,
-    params: &DatasetParams,
+    steps: &Steps,
     opts: &BuildOptions,
     ctx: irnuma_obs::TraceContext,
-) -> Result<RegionData, SkipRecord> {
-    let _region_span = irnuma_obs::span_under!(ctx, "dataset.region", region = spec.name.as_str());
+) -> Result<(RegionData, RegionGraphs), SkipRecord> {
+    let mut region_span =
+        irnuma_obs::span_under!(ctx, "dataset.region", region = spec.name.as_str());
     let run = |attempt: u32| {
         catch_unwind(AssertUnwindSafe(|| {
-            build_region(spec, machine, configs, sequences, vocab, params, {
+            build_region(spec, steps, {
                 opts.fault.as_deref().filter(|f| fault_hits(f, &spec.name, attempt))
             })
         }))
@@ -349,7 +415,7 @@ fn build_region_tolerant(
             Err(RegionError { stage: "panic", sequence: None, error: panic_msg(&payload) })
         })
     };
-    run(0).or_else(|first| {
+    let (region, graphs) = run(0).or_else(|first| {
         // One retry covers transient failures (I/O hiccups, the `:once`
         // injected fault); a deterministic error repeats.
         irnuma_obs::counter!("dataset.retried").inc(1);
@@ -366,7 +432,11 @@ fn build_region_tolerant(
             error: e.error,
             attempts: 2,
         })
-    })
+    })?;
+    region_span.field("states", graphs.states);
+    region_span.field("pass_runs", graphs.pass_runs);
+    region_span.field("distinct_graphs", graphs.distinct.len());
+    Ok((region, graphs))
 }
 
 /// Does the `--fault` spec hit `region` on this attempt?
@@ -387,13 +457,9 @@ fn panic_msg(payload: &(dyn std::any::Any + Send)) -> String {
 
 fn build_region(
     spec: &RegionSpec,
-    machine: &Machine,
-    configs: &[Config],
-    sequences: &[FlagSequence],
-    vocab: &Vocab,
-    params: &DatasetParams,
+    steps: &Steps,
     injected_fault: Option<&str>,
-) -> Result<RegionData, RegionError> {
+) -> Result<(RegionData, RegionGraphs), RegionError> {
     if injected_fault.is_some() {
         return Err(RegionError {
             stage: "injected",
@@ -401,25 +467,8 @@ fn build_region(
             error: "injected fault (--fault test hook)".to_string(),
         });
     }
-
-    // Step A+B: one graph per flag sequence.
-    let base_module = spec.module();
-    let pm = PassManager::new(false);
-    let mut graphs = Vec::with_capacity(sequences.len());
-    for seq in sequences {
-        let mut m = base_module.clone();
-        pm.run(&mut m, &seq.passes).map_err(|e| RegionError {
-            stage: "passes",
-            sequence: Some(seq.id),
-            error: e.to_string(),
-        })?;
-        let extracted = extract_region(&m, &spec.region_fn()).map_err(|e| RegionError {
-            stage: "extract",
-            sequence: Some(seq.id),
-            error: e.to_string(),
-        })?;
-        graphs.push(GraphData::from_graph(&build_module_graph(&extracted, vocab)));
-    }
+    let (machine, configs, params) = (steps.machine, steps.configs, steps.params);
+    let graphs = region_graphs(spec, steps.sequences, steps.resolved, steps.vocab)?;
 
     // Step C (per-region part): the sweep with default compile flags. A
     // panicking configuration fails just this region, not the whole build.
@@ -442,7 +491,50 @@ fn build_region(
     let dynamic_features =
         vec![meas.counters.package_power_w as f32, meas.counters.l3_miss_ratio as f32];
 
-    Ok(RegionData { spec: spec.clone(), graphs, sweep, default_time, dynamic_features })
+    let region = RegionData {
+        spec: spec.clone(),
+        graphs: Vec::new(),
+        sweep,
+        default_time,
+        dynamic_features,
+    };
+    Ok((region, graphs))
+}
+
+/// Steps A+B for one region: every flag sequence through a [`PassMemo`],
+/// so each distinct (module state, pass) pair runs once, then region
+/// extraction and the graph once per distinct final state. Sequences are
+/// walked in order, so the first failing sequence is the one reported, as
+/// running each sequence on its own clone would.
+fn region_graphs(
+    spec: &RegionSpec,
+    sequences: &[FlagSequence],
+    resolved: &[ResolvedSequence],
+    vocab: &Vocab,
+) -> Result<RegionGraphs, RegionError> {
+    let mut memo = PassMemo::new(spec.module());
+    let region_fn = spec.region_fn();
+    let mut graph_of_state = HashMap::new();
+    let mut distinct = Vec::new();
+    let mut of_seq = Vec::with_capacity(sequences.len());
+    for (seq, resolved) in sequences.iter().zip(resolved) {
+        let fail = |stage, error: String| RegionError { stage, sequence: Some(seq.id), error };
+        let state = memo.run(resolved).map_err(|e| fail("passes", e.to_string()))?;
+        let graph = match graph_of_state.get(&state) {
+            Some(&g) => g,
+            None => {
+                let extracted = extract_region(&memo.compacted(state), &region_fn)
+                    .map_err(|e| fail("extract", e.to_string()))?;
+                distinct.push(GraphData::from_graph(&build_module_graph(&extracted, vocab)));
+                let g = (distinct.len() - 1) as u32;
+                graph_of_state.insert(state, g);
+                g
+            }
+        };
+        of_seq.push(graph);
+    }
+    irnuma_obs::counter!("passes.memo_hits").inc(memo.hits() as u64);
+    Ok(RegionGraphs { distinct, of_seq, states: memo.states(), pass_runs: memo.pass_runs() })
 }
 
 #[cfg(test)]
@@ -561,6 +653,80 @@ mod tests {
         assert!(!fault_hits("cg.spmv", "cg.axpy", 0));
         assert!(fault_hits("cg.spmv:once", "cg.spmv", 0));
         assert!(!fault_hits("cg.spmv:once", "cg.spmv", 1));
+    }
+
+    /// The loop the memoized build replaced, kept as its oracle: every
+    /// sequence on its own clone of the module through the whole pass list,
+    /// then compaction, extraction and the graph.
+    fn per_sequence_graphs(
+        spec: &RegionSpec,
+        sequences: &[FlagSequence],
+        vocab: &Vocab,
+    ) -> Result<Vec<GraphData>, RegionError> {
+        let pm = irnuma_passes::PassManager::new(false);
+        let base = spec.module();
+        let mut graphs = Vec::with_capacity(sequences.len());
+        for seq in sequences {
+            let fail = |stage, error: String| RegionError { stage, sequence: Some(seq.id), error };
+            let mut m = base.clone();
+            pm.run(&mut m, &seq.passes).map_err(|e| fail("passes", e.to_string()))?;
+            let extracted = extract_region(&m, &spec.region_fn())
+                .map_err(|e| fail("extract", e.to_string()))?;
+            graphs.push(GraphData::from_graph(&build_module_graph(&extracted, vocab)));
+        }
+        Ok(graphs)
+    }
+
+    fn assert_bitwise_equal(a: &GraphData, b: &GraphData, what: &str) {
+        assert_eq!(a.node_text, b.node_text, "{what}: node_text");
+        assert_eq!(a.edges, b.edges, "{what}: edges");
+        let bits = |g: &GraphData| -> Vec<Vec<u32>> {
+            g.norm.iter().map(|n| n.iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        assert_eq!(bits(a), bits(b), "{what}: norm bits");
+    }
+
+    #[test]
+    fn memoized_build_matches_the_per_sequence_oracle_bitwise() {
+        let params =
+            DatasetParams { num_sequences: 32, calls: 1, num_labels: 3, ..Default::default() };
+        let vocab = Vocab::full();
+        let builds: Vec<Dataset> = [MicroArch::Skylake, MicroArch::SandyBridge]
+            .into_iter()
+            .map(|arch| build_dataset_report(arch, &params, &BuildOptions::default()).unwrap())
+            .map(|b| b.dataset)
+            .collect();
+        for (i, spec) in all_regions().iter().enumerate() {
+            let oracle =
+                per_sequence_graphs(spec, &builds[0].sequences, &vocab).unwrap_or_else(|e| {
+                    panic!("{}: oracle failed at {}: {}", spec.name, e.stage, e.error)
+                });
+            for ds in &builds {
+                let region = &ds.regions[i];
+                assert_eq!(region.spec.name, spec.name);
+                assert_eq!(region.graphs.len(), oracle.len());
+                for (s, (g, o)) in region.graphs.iter().zip(&oracle).enumerate() {
+                    let what = format!("{:?} {} seq {s}", ds.machine.arch, spec.name);
+                    assert_bitwise_equal(g, o, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_pass_fails_at_the_first_bad_sequence_like_the_oracle() {
+        let mut sequences = sample_sequences(8, 3, SampleParams::default());
+        sequences[6].passes.push("no-such-pass".into());
+        sequences[5].passes.insert(1, "no-such-pass".into());
+        let resolved: Vec<ResolvedSequence> =
+            sequences.iter().map(|s| ResolvedSequence::new(&s.passes)).collect();
+        let vocab = Vocab::full();
+        let spec = &all_regions()[4];
+        let err = region_graphs(spec, &sequences, &resolved, &vocab).err().unwrap();
+        let want = per_sequence_graphs(spec, &sequences, &vocab).err().unwrap();
+        assert_eq!((err.stage, err.sequence), ("passes", Some(5)));
+        assert_eq!((err.stage, err.sequence, &err.error), (want.stage, want.sequence, &want.error));
+        assert!(err.error.contains("no-such-pass"), "{}", err.error);
     }
 
     #[test]

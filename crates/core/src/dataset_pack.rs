@@ -21,19 +21,23 @@
 //!
 //! [`build_packed_dataset`] runs the same region loop as the in-memory
 //! build (per-region fault isolation, skips, label reduction) one group of
-//! regions at a time: each group's survivors are encoded into the group's
-//! shard and dropped before the next group builds, so peak memory is
-//! bounded by the group size, not the corpus. [`pack_dataset`] writes an
-//! already-resident [`Dataset`] through the same pack writer.
+//! regions at a time: each region's worker encodes its distinct graphs once
+//! and frames its records, and a group's shard is written while the next
+//! group builds, so peak memory is bounded by the group size, not the
+//! corpus. [`pack_dataset`] writes an already-resident [`Dataset`] through
+//! the same pack writer.
 
 use crate::dataset::{
-    build_regions, BuildOptions, Dataset, DatasetError, DatasetParams, RegionData, SkipRecord,
+    build_regions, BuildOptions, Dataset, DatasetError, DatasetParams, RegionData, RegionGraphs,
+    SkipRecord,
 };
 use irnuma_nn::stream::{RecordMap, ShardStream, GRAPH_SHARD_KIND, RECORD_PREFIX};
 use irnuma_nn::{decode_graph, encode_graph, GraphData};
 use irnuma_passes::FlagSequence;
 use irnuma_sim::{Config, Machine, MicroArch};
-use irnuma_store::shard::{parse_shard, ShardEntry, ShardManifest, ShardWriter, MANIFEST_FILE};
+use irnuma_store::shard::{
+    parse_shard, FramedRecords, ShardEntry, ShardManifest, ShardWriter, MANIFEST_FILE,
+};
 use irnuma_store::{corruption, invalid};
 use irnuma_workloads::InputSize;
 use serde::{Deserialize, Serialize};
@@ -189,6 +193,41 @@ fn read_region_tables(
     ranges.into_iter().map(|r| decode_region_tables(&bytes[r])).collect()
 }
 
+/// One region's graph records, framed on the worker that built the region.
+struct RegionRecords {
+    /// The region index the records' prefixes carry.
+    region: u32,
+    records: FramedRecords,
+}
+
+impl RegionRecords {
+    /// Frame one record per sequence — `[u32 region][u32 sequence]` then
+    /// the graph — encoding each distinct graph once.
+    fn frame(region: u32, graphs: RegionGraphs) -> RegionRecords {
+        let encoded: Vec<Vec<u8>> = graphs
+            .distinct
+            .iter()
+            .map(|g| {
+                let mut bytes = Vec::new();
+                encode_graph(g, &mut bytes);
+                bytes
+            })
+            .collect();
+        drop(graphs.distinct);
+        let payload_bytes =
+            graphs.of_seq.iter().map(|&g| RECORD_PREFIX + encoded[g as usize].len()).sum();
+        let mut records = FramedRecords::with_capacity(graphs.of_seq.len(), payload_bytes);
+        for (seq, &g) in graphs.of_seq.iter().enumerate() {
+            records.push_with(|out| {
+                out.extend_from_slice(&region.to_le_bytes());
+                out.extend_from_slice(&(seq as u32).to_le_bytes());
+                out.extend_from_slice(&encoded[g as usize]);
+            });
+        }
+        RegionRecords { region, records }
+    }
+}
+
 /// Writes one pack directory: each region's graph records
 /// (`[u32 region][u32 sequence]` followed by [`encode_graph`]) into
 /// `shard-NNNN.bin` files, then `regions.bin`, the meta and — last, the
@@ -230,6 +269,22 @@ impl<'a> PackWriter<'a> {
             }
         }
         self.graph_counts.push(graphs.len());
+        Ok(())
+    }
+
+    /// Append the next region's records, framed apart from the writer;
+    /// their region prefix is corrected first if it is not this region's
+    /// index (an earlier region of their group was skipped).
+    fn push_framed(&mut self, mut region: RegionRecords) -> io::Result<()> {
+        let index = self.graph_counts.len() as u32;
+        if region.region != index {
+            region.records.rewrite(|rec| rec[..4].copy_from_slice(&index.to_le_bytes()));
+        }
+        self.graph_counts.push(region.records.records());
+        self.shard.append(region.records);
+        if self.shard.records() >= self.shard_graphs {
+            self.end_shard()?;
+        }
         Ok(())
     }
 
@@ -410,9 +465,10 @@ pub struct PackedBuild {
 /// group build in parallel with the fault isolation of
 /// [`crate::dataset::build_dataset_report`] (catch_unwind, one retry,
 /// [`SkipRecord`]s, `dataset.skipped`/`dataset.retried` counters). Each
-/// group's surviving graphs are encoded into its shard and dropped before
-/// the next group starts, so peak memory is one group, not the corpus. The
-/// manifest is written last — a crashed build leaves no loadable pack.
+/// region's worker encodes its distinct graphs once, frames its records and
+/// drops the graphs; a group's shard is written while the next group
+/// builds, so peak memory is about two groups' records, not the corpus.
+/// The manifest is written last — a crashed build leaves no loadable pack.
 pub fn build_packed_dataset(
     arch: MicroArch,
     params: &DatasetParams,
@@ -422,12 +478,9 @@ pub fn build_packed_dataset(
 ) -> Result<PackedBuild, DatasetError> {
     let mut pack = PackWriter::new(dir, usize::MAX);
     let mut regions = Vec::new();
-    let run = build_regions(arch, params, opts, shard_regions, |group| {
-        for mut r in group {
-            pack.push_region(&r.graphs)?;
-            // Graphs drop once encoded: one group is this build's
-            // high-water mark, not the whole corpus.
-            r.graphs = Vec::new();
+    let run = build_regions(arch, params, opts, shard_regions, RegionRecords::frame, |group| {
+        for (r, records) in group {
+            pack.push_framed(records)?;
             regions.push(r);
         }
         Ok(pack.end_shard()?)
@@ -522,6 +575,10 @@ mod tests {
         assert_eq!(back.regions.len(), 55);
         assert!(back.regions.iter().all(|r| r.spec.name != "cg.spmv"));
         assert_eq!(back.labels.len(), 55);
+        // The regions after cg.spmv in its group were framed under the
+        // index they would have had without the skip, then re-prefixed.
+        let in_memory = build_dataset_report(MicroArch::Skylake, &tiny(), &opts).unwrap().dataset;
+        assert_datasets_identical(&in_memory, &back);
     }
 
     #[test]

@@ -702,7 +702,7 @@ mod tests {
             num_labels: 3,
             ..Default::default()
         };
-        let _ds = crate::dataset::build_dataset(irnuma_sim::MicroArch::Skylake, &params);
+        let ds = crate::dataset::build_dataset(irnuma_sim::MicroArch::Skylake, &params);
         irnuma_obs::flush_metrics();
         irnuma_obs::clear_sink();
 
@@ -713,7 +713,23 @@ mod tests {
         // global sink, so counts are lower bounds.
         let regions = r.spans.iter().find(|s| s.name == "dataset.region").unwrap();
         assert!(regions.count >= 56, "got {}", regions.count);
-        assert!(r.counters.iter().any(|(n, v)| n == "graph.builds" && *v >= 112));
+        // A graph is built once per distinct final module state of a
+        // region, so at least once per distinct graph it holds.
+        let distinct: usize = ds
+            .regions
+            .iter()
+            .map(|region| {
+                let mut seen: Vec<&irnuma_nn::GraphData> = Vec::new();
+                for g in &region.graphs {
+                    if !seen.iter().any(|s| s.node_text == g.node_text && s.edges == g.edges) {
+                        seen.push(g);
+                    }
+                }
+                seen.len()
+            })
+            .sum();
+        assert!(distinct >= 56, "at least one graph per region");
+        assert!(r.counters.iter().any(|(n, v)| n == "graph.builds" && *v >= distinct as u64));
         std::fs::remove_file(&path).ok();
     }
 }

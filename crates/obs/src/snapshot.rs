@@ -160,6 +160,7 @@ pub fn metric_help(name: &str) -> &'static str {
         "dataset.decode_ns" => "Time spent decoding dataset shards into graphs (ns).",
         "loader.prefetch_stall_ns" => "Time the trainer blocked waiting on shard prefetch (ns).",
         "graph.builds" => "ProGraML-style region graphs constructed.",
+        "passes.memo_hits" => "Pass steps answered from a dataset build's state memo.",
         "sim.config.skipped" => "Simulated configurations skipped after a panic.",
         "store.write_bytes" => "Bytes durably written through the artifact store.",
         "store.fsync_ns" => "Latency of artifact-store fsync calls (ns).",

@@ -76,7 +76,7 @@ impl Default for SampleParams {
     }
 }
 
-/// Generate `n` distinct flag sequences by down-sampling. Determinstic in
+/// Generate `n` distinct flag sequences by down-sampling. Deterministic in
 /// `seed`. Duplicate draws are retried (bounded), so the returned sequences
 /// are unique; empty draws are discarded the same way.
 pub fn sample_sequences(n: usize, seed: u64, params: SampleParams) -> Vec<FlagSequence> {

@@ -19,13 +19,17 @@
 //! * the [`flags`] module: the `-O3`-like default pipeline and the paper's
 //!   down-sampling procedure that generates random flag sequences
 //!   (each pass instance removed with probability 0.8, four rounds);
+//! * [`memo::PassMemo`], which runs many sequences over one module with
+//!   each pass run once per distinct (module state, pass) pair.
 //!
 //! All passes preserve the IR verifier's invariants; `PassManager::run`
 //! re-verifies after every pass when `verify_each` is set (tests always do).
 
 pub mod flags;
+pub mod memo;
 pub mod pass;
 pub mod passes;
 
 pub use flags::{o3_sequence, sample_sequences, FlagSequence, SampleParams};
-pub use pass::{registry, run_sequence, PassManager};
+pub use memo::PassMemo;
+pub use pass::{registry, run_sequence, PassManager, ResolvedSequence};

@@ -9,7 +9,9 @@ pub trait Pass: Sync + Send {
     /// Stable flag name (what appears in a flag sequence).
     fn name(&self) -> &'static str;
 
-    /// Run over the module; return whether anything changed.
+    /// Run over the module; return whether anything changed. `false`
+    /// promises the module equals its input: [`crate::PassMemo`] reuses
+    /// the input's state without comparing.
     fn run(&self, m: &mut Module) -> bool;
 }
 
@@ -32,31 +34,109 @@ impl fmt::Display for PassError {
 
 impl std::error::Error for PassError {}
 
-/// All registered passes, in the order they appear in the default pipeline
-/// catalogue. The returned objects are stateless and shareable.
-pub fn registry() -> Vec<Box<dyn Pass>> {
+/// Every registered pass, in the order of the default pipeline catalogue:
+/// one static table of stateless, shareable objects.
+static REGISTRY: [&dyn Pass; 14] = {
     use crate::passes::*;
-    vec![
-        Box::new(SimplifyCfg),
-        Box::new(Dce),
-        Box::new(ConstProp),
-        Box::new(InstCombine),
-        Box::new(Reassociate),
-        Box::new(Gvn),
-        Box::new(StoreForward),
-        Box::new(Dse),
-        Box::new(PhiSimplify),
-        Box::new(Mem2Reg),
-        Box::new(Licm),
-        Box::new(LoopUnroll::default()),
-        Box::new(Inline::default()),
-        Box::new(Sink),
+    [
+        &SimplifyCfg,
+        &Dce,
+        &ConstProp,
+        &InstCombine,
+        &Reassociate,
+        &Gvn,
+        &StoreForward,
+        &Dse,
+        &PhiSimplify,
+        &Mem2Reg,
+        &Licm,
+        &LoopUnroll::DEFAULT,
+        &Inline::DEFAULT,
+        &Sink,
     ]
+};
+
+/// All registered passes, in the order they appear in the default pipeline
+/// catalogue.
+pub fn registry() -> &'static [&'static dyn Pass] {
+    &REGISTRY
 }
 
 /// Look up a pass by flag name.
-pub fn find_pass(name: &str) -> Option<Box<dyn Pass>> {
-    registry().into_iter().find(|p| p.name() == name)
+pub fn find_pass(name: &str) -> Option<&'static dyn Pass> {
+    REGISTRY.iter().copied().find(|p| p.name() == name)
+}
+
+/// A flag sequence with its names looked up in the registry once, so it can
+/// run any number of times without lookups. Lookup stops at the first
+/// unknown name; running the sequence runs the passes before it, then
+/// reports it — the order a name-by-name walk would.
+pub struct ResolvedSequence {
+    /// Registry indices of the passes before the first unknown name.
+    passes: Vec<usize>,
+    unknown: Option<String>,
+}
+
+impl ResolvedSequence {
+    pub fn new(names: &[String]) -> ResolvedSequence {
+        let mut passes = Vec::with_capacity(names.len());
+        for name in names {
+            match REGISTRY.iter().position(|p| p.name() == name) {
+                Some(i) => passes.push(i),
+                None => return ResolvedSequence { passes, unknown: Some(name.clone()) },
+            }
+        }
+        ResolvedSequence { passes, unknown: None }
+    }
+
+    /// Registry indices of the runnable prefix (`registry()[i]`).
+    pub(crate) fn passes(&self) -> &[usize] {
+        &self.passes
+    }
+
+    /// The unknown-name error running this sequence ends with, if any.
+    pub(crate) fn unknown(&self) -> Result<(), PassError> {
+        match &self.unknown {
+            Some(name) => Err(PassError::UnknownPass(name.clone())),
+            None => Ok(()),
+        }
+    }
+
+    /// Names in the sequence, counting an unknown one.
+    pub fn len(&self) -> usize {
+        self.passes.len() + usize::from(self.unknown.is_some())
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// Run one pass, timing it under `pass.<name>_ns` when telemetry is on.
+pub(crate) fn run_pass(pass: &dyn Pass, m: &mut Module) -> bool {
+    if !irnuma_obs::telemetry_enabled() {
+        return pass.run(m);
+    }
+    let t0 = std::time::Instant::now();
+    let changed = pass.run(m);
+    // Dynamic names go through the registry, not the macro cache.
+    irnuma_obs::registry()
+        .histogram(&format!("pass.{}_ns", pass.name()))
+        .record_duration(t0.elapsed());
+    changed
+}
+
+/// Compact arenas and drop empty blocks, so downstream consumers (printer,
+/// graphs) see tight ids. [`PassManager::run`] ends every sequence with it.
+pub fn compact_module(m: &mut Module) {
+    for f in &mut m.functions {
+        if !f.is_declaration() {
+            // Drop detached instructions first: they may still hold stale
+            // block references that compact_blocks would trip on.
+            f.compact();
+            f.compact_blocks();
+        }
+    }
 }
 
 /// Runs pass sequences over modules.
@@ -81,37 +161,20 @@ impl PassManager {
     /// reported a change.
     pub fn run(&self, m: &mut Module, sequence: &[String]) -> Result<usize, PassError> {
         let mut span = irnuma_obs::span!("passes.run", passes = sequence.len());
+        let seq = ResolvedSequence::new(sequence);
         let mut changed = 0;
-        for name in sequence {
-            let pass = find_pass(name).ok_or_else(|| PassError::UnknownPass(name.clone()))?;
-            if irnuma_obs::telemetry_enabled() {
-                let t0 = std::time::Instant::now();
-                if pass.run(m) {
-                    changed += 1;
-                }
-                // Per-pass timing under a dynamic name (`pass.gvn_ns`, ...);
-                // dynamic names go through the registry, not the macro cache.
-                irnuma_obs::registry()
-                    .histogram(&format!("pass.{}_ns", pass.name()))
-                    .record_duration(t0.elapsed());
-            } else if pass.run(m) {
+        for &i in seq.passes() {
+            let pass = REGISTRY[i];
+            if run_pass(pass, m) {
                 changed += 1;
             }
             if self.verify_each {
                 verify_module(m).map_err(|err| PassError::Broken { pass: pass.name(), err })?;
             }
         }
+        seq.unknown()?;
         span.field("changed", changed);
-        // Compact arenas and drop empty blocks so downstream consumers
-        // (printer, graphs) see tight ids.
-        for f in &mut m.functions {
-            if !f.is_declaration() {
-                // Drop detached instructions first: they may still hold
-                // stale block references that compact_blocks would trip on.
-                f.compact();
-                f.compact_blocks();
-            }
-        }
+        compact_module(m);
         if self.verify_each {
             verify_module(m).map_err(|err| PassError::Broken { pass: "compact", err })?;
         }

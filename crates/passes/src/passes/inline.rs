@@ -12,9 +12,14 @@ pub struct Inline {
     pub max_callee_instrs: usize,
 }
 
+impl Inline {
+    /// The budget the flag `inline` runs with.
+    pub const DEFAULT: Inline = Inline { max_callee_instrs: 48 };
+}
+
 impl Default for Inline {
     fn default() -> Self {
-        Inline { max_callee_instrs: 48 }
+        Inline::DEFAULT
     }
 }
 

@@ -110,7 +110,11 @@ fn run_function(f: &mut Function) -> bool {
             }
         }
 
-        // Insert empty phis (incomings filled during the rename walk).
+        // Insert empty phis (incomings filled during the rename walk), in
+        // block order: their arena ids must not depend on hash order, or
+        // equal inputs would give unequal modules.
+        let mut phi_blocks: Vec<BlockId> = phi_blocks.into_iter().collect();
+        phi_blocks.sort_unstable();
         let mut phi_of_block: HashMap<BlockId, InstrId> = HashMap::new();
         for &b in &phi_blocks {
             let phi = f.alloc_instr(Instr::new(Opcode::Phi, ty, Vec::new()));

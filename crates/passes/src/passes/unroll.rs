@@ -30,9 +30,14 @@ pub struct LoopUnroll {
     pub max_growth: u64,
 }
 
+impl LoopUnroll {
+    /// The budgets the flag `loop-unroll` runs with.
+    pub const DEFAULT: LoopUnroll = LoopUnroll { max_trip: 16, max_growth: 256 };
+}
+
 impl Default for LoopUnroll {
     fn default() -> Self {
-        LoopUnroll { max_trip: 16, max_growth: 256 }
+        LoopUnroll::DEFAULT
     }
 }
 

@@ -40,7 +40,12 @@ const MAGIC: &str = "irnuma-store ";
 /// FNV-1a 64-bit checksum (dependency-free; detects truncation/corruption,
 /// not adversaries).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_continue(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue an FNV-1a 64 checksum over `bytes`: `fnv1a64(a ++ b)` is
+/// `fnv1a64_continue(fnv1a64(a), b)`.
+pub(crate) fn fnv1a64_continue(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);

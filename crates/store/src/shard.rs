@@ -21,9 +21,9 @@
 //! manifest is written last by packers so a crashed pack never looks
 //! complete.
 
-use crate::{corruption, fnv1a64, invalid};
+use crate::{corruption, fnv1a64, fnv1a64_continue, invalid};
 use serde::{Deserialize, Serialize};
-use std::io;
+use std::io::{self, Write};
 use std::ops::Range;
 use std::path::Path;
 
@@ -38,10 +38,67 @@ const RECORD_PREFIX: usize = 4 + 8;
 /// File name of the manifest inside a pack directory.
 pub const MANIFEST_FILE: &str = "manifest.json";
 
+/// Framed records (`[u32 len][u64 fnv1a][payload]` each) built apart from
+/// a [`ShardWriter`] — on a worker thread, say — and handed to one whole
+/// with [`ShardWriter::append`].
+#[derive(Debug, Default)]
+pub struct FramedRecords {
+    bytes: Vec<u8>,
+    count: usize,
+}
+
+impl FramedRecords {
+    /// Room for `payload_bytes` of payloads in `records` records, framed.
+    pub fn with_capacity(records: usize, payload_bytes: usize) -> FramedRecords {
+        FramedRecords {
+            bytes: Vec::with_capacity(records * RECORD_PREFIX + payload_bytes),
+            count: 0,
+        }
+    }
+
+    /// Frame one record whose payload `write` appends to the given buffer.
+    pub fn push_with(&mut self, write: impl FnOnce(&mut Vec<u8>)) {
+        let at = self.bytes.len();
+        self.bytes.extend_from_slice(&[0; RECORD_PREFIX]);
+        write(&mut self.bytes);
+        let payload = &self.bytes[at + RECORD_PREFIX..];
+        let len = u32::try_from(payload.len()).expect("record too large for a u32 length prefix");
+        let sum = fnv1a64(payload);
+        self.bytes[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        self.bytes[at + 4..at + RECORD_PREFIX].copy_from_slice(&sum.to_le_bytes());
+        self.count += 1;
+    }
+
+    /// Frame one record (length + checksum + payload).
+    pub fn push(&mut self, payload: &[u8]) {
+        self.push_with(|out| out.extend_from_slice(payload));
+    }
+
+    /// Edit every payload in place, keeping its length, and refresh its
+    /// checksum.
+    pub fn rewrite(&mut self, mut edit: impl FnMut(&mut [u8])) {
+        let mut at = 0;
+        while at < self.bytes.len() {
+            let len = u32::from_le_bytes(self.bytes[at..at + 4].try_into().expect("4 bytes"));
+            let body = at + RECORD_PREFIX..at + RECORD_PREFIX + len as usize;
+            edit(&mut self.bytes[body.clone()]);
+            let sum = fnv1a64(&self.bytes[body.clone()]);
+            self.bytes[at + 4..at + RECORD_PREFIX].copy_from_slice(&sum.to_le_bytes());
+            at = body.end;
+        }
+    }
+
+    pub fn records(&self) -> usize {
+        self.count
+    }
+}
+
 /// Accumulates records in memory, then writes one shard file atomically.
 pub struct ShardWriter {
     kind: String,
-    body: Vec<u8>,
+    /// The body in arrival order: records pushed here, and blocks appended
+    /// whole (never copied into one buffer).
+    parts: Vec<FramedRecords>,
     count: usize,
 }
 
@@ -51,16 +108,22 @@ impl ShardWriter {
             !kind.is_empty() && kind.bytes().all(|b| b.is_ascii_graphic()),
             "shard kind must be a non-empty ASCII token: {kind:?}"
         );
-        ShardWriter { kind: kind.to_string(), body: Vec::new(), count: 0 }
+        ShardWriter { kind: kind.to_string(), parts: Vec::new(), count: 0 }
     }
 
     /// Append one record (length + checksum + payload).
     pub fn push(&mut self, payload: &[u8]) {
-        assert!(payload.len() <= u32::MAX as usize, "record too large for a u32 length prefix");
-        self.body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.body.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        self.body.extend_from_slice(payload);
+        if self.parts.is_empty() {
+            self.parts.push(FramedRecords::default());
+        }
+        self.parts.last_mut().expect("a part exists").push(payload);
         self.count += 1;
+    }
+
+    /// Append records framed elsewhere, after every record so far.
+    pub fn append(&mut self, records: FramedRecords) {
+        self.count += records.count;
+        self.parts.push(records);
     }
 
     pub fn records(&self) -> usize {
@@ -76,15 +139,21 @@ impl ShardWriter {
     pub fn finish(self, dir: &Path, file: &str) -> io::Result<ShardEntry> {
         let header =
             format!("{SHARD_MAGIC}v{SHARD_VERSION} kind={} records={}\n", self.kind, self.count);
-        let mut bytes = Vec::with_capacity(header.len() + self.body.len());
-        bytes.extend_from_slice(header.as_bytes());
-        bytes.extend_from_slice(&self.body);
-        crate::atomic_write(&dir.join(file), &bytes)?;
+        let mut sum = fnv1a64(header.as_bytes());
+        let mut len = header.len() as u64;
+        for p in &self.parts {
+            sum = fnv1a64_continue(sum, &p.bytes);
+            len += p.bytes.len() as u64;
+        }
+        crate::atomic_write_with(&dir.join(file), |f| {
+            f.write_all(header.as_bytes())?;
+            self.parts.iter().try_for_each(|p| f.write_all(&p.bytes))
+        })?;
         Ok(ShardEntry {
             file: file.to_string(),
             records: self.count,
-            bytes: bytes.len() as u64,
-            fnv1a: format!("{:016x}", fnv1a64(&bytes)),
+            bytes: len,
+            fnv1a: format!("{sum:016x}"),
         })
     }
 }
@@ -285,6 +354,37 @@ mod tests {
         for (r, p) in ranges.iter().zip(&payloads) {
             assert_eq!(&bytes[r.clone()], p.as_slice());
         }
+    }
+
+    #[test]
+    fn appended_framed_records_equal_pushed_ones_and_rewrite_refreshes_checksums() {
+        let d = tdir("framed");
+        let payloads: [&[u8]; 3] = [b"alpha", b"", b"a longer third record"];
+        let pushed = write_shard(&d, &payloads);
+        let pushed_bytes = fs::read(d.join(&pushed.file)).unwrap();
+
+        let mut w = ShardWriter::new("test-shard");
+        w.push(payloads[0]);
+        let mut framed = FramedRecords::with_capacity(2, 32);
+        framed.push(b"");
+        framed.push_with(|out| out.extend_from_slice(b"a longer third record"));
+        w.append(framed);
+        assert_eq!(w.records(), 3);
+        let entry = w.finish(&d, "shard-0001.bin").unwrap();
+        assert_eq!(fs::read(d.join(&entry.file)).unwrap(), pushed_bytes);
+        assert_eq!((entry.bytes, &entry.fnv1a), (pushed.bytes, &pushed.fnv1a));
+
+        let mut framed = FramedRecords::default();
+        framed.push(b"xbc");
+        framed.push(b"xyz");
+        framed.rewrite(|p| p[0] = b'a');
+        let mut w = ShardWriter::new("test-shard");
+        w.append(framed);
+        let entry = w.finish(&d, "shard-0002.bin").unwrap();
+        let bytes = fs::read(d.join(&entry.file)).unwrap();
+        let ranges = parse_shard("test-shard", &bytes).unwrap();
+        let got: Vec<&[u8]> = ranges.into_iter().map(|r| &bytes[r]).collect();
+        assert_eq!(got, [b"abc".as_slice(), b"ayz".as_slice()]);
     }
 
     #[test]
