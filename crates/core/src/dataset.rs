@@ -472,6 +472,7 @@ fn build_region(
 
     // Step C (per-region part): the sweep with default compile flags. A
     // panicking configuration fails just this region, not the whole build.
+    let sweep_span = irnuma_obs::span!("dataset.sweep", configs = configs.len());
     let sweep: Vec<f64> = configs
         .iter()
         .map(|c| {
@@ -479,6 +480,7 @@ fn build_region(
                 .map_err(|e| RegionError { stage: "sweep", sequence: None, error: e })
         })
         .collect::<Result<_, _>>()?;
+    drop(sweep_span);
 
     let def = default_config(machine);
     let def_idx = configs.iter().position(|c| *c == def).ok_or_else(|| RegionError {

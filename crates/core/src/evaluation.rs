@@ -8,6 +8,7 @@ use crate::models::hybrid::{static_needs_profiling, HybridParams};
 use crate::models::{DynamicModel, FlagModel, HybridModel, StaticModel, StaticParams};
 use irnuma_ml::{kfold, relative_difference, CvError};
 use irnuma_sim::MicroArch;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Everything configurable about a full pipeline run.
@@ -181,37 +182,80 @@ pub fn evaluate(cfg: &PipelineConfig) -> Result<Evaluation, CvError> {
 /// sweep, which re-labels the same dataset).
 pub fn evaluate_on(cfg: &PipelineConfig, dataset: Dataset) -> Result<Evaluation, CvError> {
     let n = dataset.regions.len();
-    let _span = irnuma_obs::span!("eval.run", regions = n, folds = cfg.folds, light = cfg.light);
+    let span = irnuma_obs::span!("eval.run", regions = n, folds = cfg.folds, light = cfg.light);
     let folds_idx = kfold(n, cfg.folds, cfg.seed)?;
+
+    // Folds are independent, so they run as one parallel map; each returns
+    // its models and per-region results, scattered below in fold order.
+    let ctx = span.ctx();
+    let per_fold: Vec<(FoldModels, Vec<Validated>)> = folds_idx
+        .par_iter()
+        .enumerate()
+        .map(|(fi, validation)| {
+            let _fold_span =
+                irnuma_obs::span_under!(ctx, "eval.fold", fold = fi, validation = validation.len());
+            evaluate_fold(cfg, &dataset, &folds_idx, fi)
+        })
+        .collect();
 
     let mut outcomes: Vec<Option<RegionOutcome>> = (0..n).map(|_| None).collect();
     let mut pred_time_by_seq: Vec<Vec<f64>> = vec![Vec::new(); n];
     let mut folds = Vec::with_capacity(cfg.folds);
+    for (fold, validated) in per_fold {
+        for (outcome, pred_times) in validated {
+            let r = outcome.region;
+            pred_time_by_seq[r] = pred_times;
+            outcomes[r] = Some(outcome);
+        }
+        folds.push(fold);
+    }
 
-    for (fi, validation) in folds_idx.iter().enumerate() {
-        let _fold_span = irnuma_obs::span!("eval.fold", fold = fi, validation = validation.len());
-        let train: Vec<usize> = irnuma_ml::cv::train_indices(&folds_idx, fi);
-        let sm = StaticModel::train(&dataset, &train, cfg.static_params);
-        let dm = DynamicModel::train(&dataset, &train);
-        let hm = (!cfg.light)
-            .then(|| HybridModel::train(&dataset, &sm, &train, cfg.hybrid, cfg.static_params));
-        let fm = (!cfg.light).then(|| FlagModel::train(&dataset, &sm, &train, cfg.flags));
+    Ok(Evaluation {
+        cfg: *cfg,
+        dataset,
+        outcomes: outcomes.into_iter().map(|o| o.expect("every region validated once")).collect(),
+        folds,
+        pred_time_by_seq,
+    })
+}
 
-        for &r in validation {
-            let static_label = sm.predict(&dataset, r);
+/// One validation region's outcome and per-sequence predicted times.
+type Validated = (RegionOutcome, Vec<f64>);
+
+/// Train every model on fold `fi`'s training regions and score its
+/// validation regions: each region's outcome and per-sequence predicted
+/// times, in validation order.
+fn evaluate_fold(
+    cfg: &PipelineConfig,
+    dataset: &Dataset,
+    folds_idx: &[Vec<usize>],
+    fi: usize,
+) -> (FoldModels, Vec<Validated>) {
+    let validation = &folds_idx[fi];
+    let train: Vec<usize> = irnuma_ml::cv::train_indices(folds_idx, fi);
+    let sm = StaticModel::train(dataset, &train, cfg.static_params);
+    let dm = DynamicModel::train(dataset, &train);
+    let hm = (!cfg.light)
+        .then(|| HybridModel::train(dataset, &sm, &train, cfg.hybrid, cfg.static_params));
+    let fm = (!cfg.light).then(|| FlagModel::train(dataset, &sm, &train, cfg.flags));
+
+    let validated = validation
+        .iter()
+        .map(|&r| {
+            let static_label = sm.predict(dataset, r);
             let static_time = dataset.label_time(r, static_label);
-            let dynamic_label = dm.predict(&dataset, r);
+            let dynamic_label = dm.predict(dataset, r);
             let dynamic_time = dataset.label_time(r, dynamic_label);
             let route_dyn =
-                hm.as_ref().map(|h| h.route_to_dynamic(&dataset, &sm, r)).unwrap_or(false);
+                hm.as_ref().map(|h| h.route_to_dynamic(dataset, &sm, r)).unwrap_or(false);
             let hybrid_time = if route_dyn { dynamic_time } else { static_time };
-            let needs = static_needs_profiling(&dataset, &sm, r, cfg.hybrid.error_threshold);
+            let needs = static_needs_profiling(dataset, &sm, r, cfg.hybrid.error_threshold);
             let full = dataset.regions[r].full_best_time();
             let pseq =
-                fm.as_ref().map(|f| f.predict_seq(&dataset, &sm, r)).unwrap_or(sm.explored_seq);
-            let plabel = sm.predict_with_seq(&dataset, r, pseq);
+                fm.as_ref().map(|f| f.predict_seq(dataset, &sm, r)).unwrap_or(sm.explored_seq);
+            let plabel = sm.predict_with_seq(dataset, r, pseq);
 
-            outcomes[r] = Some(RegionOutcome {
+            let outcome = RegionOutcome {
                 region: r,
                 name: dataset.regions[r].spec.name.clone(),
                 fold: fi,
@@ -230,36 +274,30 @@ pub fn evaluate_on(cfg: &PipelineConfig, dataset: Dataset) -> Result<Evaluation,
                 dynamic_error: relative_difference(full, dynamic_time),
                 predicted_seq: pseq,
                 predicted_seq_time: dataset.label_time(r, plabel),
-            });
+            };
 
             // Per-sequence prediction times (validation view): the region's
             // graphs are sequence-ordered, so one batched inference pass
             // covers every sequence.
-            pred_time_by_seq[r] = sm
+            let pred_times = sm
                 .clf
                 .model
                 .infer_batch(&dataset.regions[r].graphs)
                 .iter()
                 .map(|o| dataset.label_time(r, o.label()))
                 .collect();
-        }
+            (outcome, pred_times)
+        })
+        .collect();
 
-        folds.push(FoldModels {
-            fold: fi,
-            validation: validation.clone(),
-            train,
-            static_model: sm,
-            dynamic_model: dm,
-            hybrid_model: hm,
-            flag_model: fm,
-        });
-    }
-
-    Ok(Evaluation {
-        cfg: *cfg,
-        dataset,
-        outcomes: outcomes.into_iter().map(|o| o.expect("every region validated once")).collect(),
-        folds,
-        pred_time_by_seq,
-    })
+    let fold = FoldModels {
+        fold: fi,
+        validation: validation.clone(),
+        train,
+        static_model: sm,
+        dynamic_model: dm,
+        hybrid_model: hm,
+        flag_model: fm,
+    };
+    (fold, validated)
 }

@@ -396,6 +396,52 @@ fn trace_then_report_covers_the_pipeline() {
 }
 
 #[test]
+fn traced_training_runs_on_the_pool_threads() {
+    let dir = std::env::temp_dir().join("irnuma-cli-pool-threads");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("trace.jsonl");
+    let model = dir.join("model.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_irnuma"))
+        .args(["train", "--seqs", "2", "--epochs", "2", "--out", model.to_str().unwrap()])
+        .env("IRNUMA_TRACE", trace.to_str().unwrap())
+        .env("IRNUMA_LOG", "warn")
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    // Every span ran on the caller, the pool's workers or the loader: no
+    // thread is started per parallel call.
+    let an =
+        irnuma(&["trace", "analyze", trace.to_str().unwrap(), "--require-roots", "train.epoch"]);
+    assert!(an.status.success(), "{}", String::from_utf8_lossy(&an.stderr));
+    let text = String::from_utf8_lossy(&an.stdout);
+    let threads: usize = text
+        .lines()
+        .next()
+        .and_then(|l| l.split(", ").nth(1))
+        .and_then(|t| t.split(' ').next())
+        .and_then(|t| t.parse().ok())
+        .unwrap_or_else(|| panic!("no thread count in {text}"));
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert!(threads <= cores + 1, "{threads} threads on {cores} core(s):\n{text}");
+
+    let epoch = text.split("root train.epoch").nth(1).expect("a train.epoch block");
+    let efficiency: f64 = epoch
+        .split("efficiency ")
+        .nth(1)
+        .and_then(|t| t.split_whitespace().next())
+        .and_then(|t| t.parse().ok())
+        .unwrap_or_else(|| panic!("no train.epoch efficiency in {text}"));
+    assert!(efficiency > 0.0, "{text}");
+
+    // The label sweep is attributed to its own span.
+    let report = irnuma(&["report", trace.to_str().unwrap(), "--require", "dataset.sweep"]);
+    assert!(report.status.success(), "{}", String::from_utf8_lossy(&report.stderr));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn trace_analyze_and_perfetto_export_on_a_traced_sweep() {
     let dir = std::env::temp_dir().join("irnuma-cli-causal");
     std::fs::remove_dir_all(&dir).ok();

@@ -129,6 +129,9 @@ fn strip_comment(s: &str) -> &str {
 fn parse_signature(s: &str, lineno: usize) -> Result<(String, Vec<Ty>, Ty), ParseError> {
     let open = s.find('(').ok_or(ParseError { line: lineno, msg: "missing `(`".into() })?;
     let close = s.find(')').ok_or(ParseError { line: lineno, msg: "missing `)`".into() })?;
+    if close < open {
+        return err(lineno, "`)` before `(`");
+    }
     let name = s[..open].trim().to_string();
     let params: Vec<Ty> = s[open + 1..close]
         .split(',')
@@ -381,6 +384,19 @@ mod tests {
         assert!(text.contains("declare @omp_get_thread_num() -> i32"));
         let parsed = parse_module(&text).unwrap();
         assert!(parsed.function("omp_get_thread_num").unwrap().is_declaration());
+    }
+
+    #[test]
+    fn close_paren_before_open_paren_is_a_parse_error() {
+        // A `)` ahead of the `(` once sliced the parameter list backwards
+        // and panicked.
+        for header in
+            ["declare @f)(i64) -> i64", "func @f)(i64) -> i64 {\n}", "declare @f)i64 -> i64"]
+        {
+            let text = format!("module \"m\"\n{header}\n");
+            let e = parse_module(&text).unwrap_err();
+            assert_eq!(e.line, 2, "{header}: {e}");
+        }
     }
 
     #[test]
